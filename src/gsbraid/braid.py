@@ -38,11 +38,9 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .freealg import Alphabet, Letter, Word
-from .oracles import IndexOutOfRange
+from .oracles import ArtinWord, _check_index
 from .orders import DegInLex, OrderSpec, Tower, ranking_of
 from .reduction import DEFAULT_FUEL, Presentation, word_nf
-
-ArtinWord = Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -226,12 +224,9 @@ def artin_markov(n: int) -> Presentation:
 
 def artin_to_s(w: ArtinWord, scheme: BraidScheme) -> Word:
     """Rewrite an Artin word over the scheme letters: sigma_i = s_{i,i+1} . sigma_i^-1."""
-    n = scheme.n
     ids: list[int] = []
     for x in w:
-        k = abs(x)
-        if x == 0 or k > n - 1:
-            raise IndexOutOfRange(f"Artin generator index {x} invalid for n={n}")
+        k = _check_index(x, scheme.n)
         if x < 0:
             ids.append(scheme.g_inv(k))
         else:
@@ -264,9 +259,13 @@ def braid_nf(w: ArtinWord, n: int, fuel: int = DEFAULT_FUEL, strategy: str = "ri
     """Normal form of an Artin word in the scheme letters; unique per group element.
 
     Equals word_nf of the converted word under any rewrite strategy; the
-    default is the passage-coherent scheduler, whose path length stays
-    near-linear on group words (the flat canonical schedule can need
-    astronomically many steps on inputs of a few dozen crossings).
+    default is the passage-coherent rightmost scheduler.  Its path length
+    is not near-linear in general: it takes 28,581 steps on the B_3 power
+    (sigma_1 sigma_2^-1)^64, where leftmost takes 483, and exhausts the
+    default fuel on the B_4 power (sigma_2 sigma_1^-1 sigma_3^-1 sigma_2)^10,
+    where leftmost takes 55,026; on random words neither schedule always
+    wins.  The flat canonical schedule can need astronomically many steps
+    on inputs of a few dozen crossings.
     """
     if n < 2:
         raise ValueError("braid normal forms need n >= 2")

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
-from .gsb import (Diverged, check_trivial, enumerate_ambiguities,
+from .gsb import (Diverged, _check_row, _failure, _rows, _scope_set,
                   enumerate_irr, verify_gsb)
 from .orders import DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
 from .reduction import (DEFAULT_FUEL, FuelExhausted, NotBinomial,
@@ -249,8 +249,7 @@ def dump_presentation(S: Presentation, title: Optional[str] = None) -> str:
     lines.append(f"order: {order_text}")
     for i in range(len(S.relations)):
         lhs = " . ".join(S.lead(i).names()) or "1"
-        tail = [t for t in S.relations[i].terms if t != S._lead[i]][0]
-        rhs = " . ".join(S.alphabet.letters[x].name for x in tail) or "1"
+        rhs = " . ".join(Word(S.alphabet, S._tails[i]).names()) or "1"
         lines.append(f"{lhs} = {rhs}")
     return "\n".join(lines) + "\n"
 
@@ -292,27 +291,29 @@ def _load_presentation(args) -> tuple[Presentation, Optional[int]]:
         order = _parse_order_text(args.order, 0, S.alphabet)
         # re-validate the file's declared sides against the override order:
         # flipping a relation silently would change which side rewrites
-        pairs = []
-        for i in range(len(S.relations)):
-            (tail,) = [t for t in S.relations[i].terms if t != S._lead[i]]
-            pairs.append((S.lead(i), Word(S.alphabet, tail)))
+        pairs = [(S.lead(i), Word(S.alphabet, t)) for i, t in enumerate(S._tails)]
         S = Presentation.from_oriented(S.alphabet, order, pairs, S.families,
                                        order_text=args.order)
     return S, None
 
 
-def _scope_arg(args) -> Optional[tuple[str, str]]:
+def _scope_arg(args, S: Presentation) -> Optional[tuple[str, str]]:
     if not args.scope:
         return None
     parts = [p.strip() for p in args.scope.split(",")]
     if len(parts) != 2 or not all(parts):
         raise ParseError(0, f"--scope must be 'FAM,FAM', got {args.scope!r}")
+    for label in parts:
+        if label not in S.families:
+            raise ParseError(0, f"--scope names unknown family {label!r}")
     return (parts[0], parts[1])
 
 
 def _cmd_verify(args) -> int:
     S, _ = _load_presentation(args)
-    report = verify_gsb(S, fuel=args.fuel, scope=_scope_arg(args), jobs=args.jobs)
+    if args.jobs < 1:
+        raise ParseError(0, "--jobs must be at least 1")
+    report = verify_gsb(S, fuel=args.fuel, scope=_scope_arg(args, S), jobs=args.jobs)
     if args.json:
         _json_out(report.to_json_dict())
     else:
@@ -357,42 +358,31 @@ def _cmd_nf(args) -> int:
 
 def _cmd_compositions(args) -> int:
     S, _ = _load_presentation(args)
-    scope = _scope_arg(args)
+    scope = _scope_arg(args, S)
     fams = S.families
     instances = []
     exhausted = 0
     nontrivial = 0
-    for i in range(len(S.relations)):
-        for j in range(len(S.relations)):
-            if scope is not None and (fams[i], fams[j]) != scope:
-                continue
-            for amb in enumerate_ambiguities(S.lead(i), S.lead(j), i, j):
-                try:
-                    ok, trace = check_trivial(S.relations[i], S.relations[j], amb, S, args.fuel)
-                    reason = None if ok else "nontrivial"
-                except FuelExhausted as e:
-                    ok, trace = False, e.trace
-                    reason = "fuel"
-                if not ok:
-                    if reason == "fuel":
-                        exhausted += 1
-                    else:
-                        nontrivial += 1
-                if ok:
-                    remainder = "0"
-                elif trace is not None:
-                    remainder = format_polynomial(trace.result, S.order)
-                else:
-                    remainder = "(fuel exhausted)"
-                instances.append({
-                    "families": f"{fams[i]},{fams[j]}",
-                    "kind": amb.kind,
-                    "left": i,
-                    "right": j,
-                    "w": str(amb.w),
-                    "trivial": ok,
-                    "remainder": remainder,
-                })
+    for i, js in _rows(S, _scope_set(scope, fams)):
+        for _, j, amb, reason in _check_row(S, i, js, args.fuel):
+            if reason is None:
+                remainder = "0"
+            elif reason == "fuel" and S.binomial:
+                remainder = "(fuel exhausted)"  # the word path keeps no partial remainder
+            else:
+                remainder = format_polynomial(_failure(S, amb, reason, args.fuel).remainder,
+                                              S.order)
+            exhausted += reason == "fuel"
+            nontrivial += reason == "nontrivial"
+            instances.append({
+                "families": f"{fams[i]},{fams[j]}",
+                "kind": amb.kind,
+                "left": i,
+                "right": j,
+                "w": str(amb.w),
+                "trivial": reason is None,
+                "remainder": remainder,
+            })
     if args.json:
         _json_out({"scope": f"{scope[0]},{scope[1]}" if scope else "all",
                    "ambiguities_checked": len(instances),
@@ -468,32 +458,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Groebner-Shirshov basis verification and braid normal forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, word=False, max_len=False, max_new=False):
+    def add_common(p, fuel=True, jobs=False, scope=False, word=False,
+                   max_len=False, max_new=False):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--n", type=int, help="strand count; use the braid system")
         src.add_argument("--presentation", help="presentation file")
         p.add_argument("--order", help="order spec, overrides the file's order")
-        p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="reduction step budget")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-        p.add_argument("--scope", help="family pair filter 'iFAM,jFAM'")
+        if fuel:
+            p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="reduction step budget")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        if scope:
+            p.add_argument("--scope", help="family pair filter 'iFAM,jFAM'")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         if word:
             p.add_argument("--word", required=True, help="whitespace-separated letters")
             p.add_argument("--strategy", default="rightmost",
                            choices=("canonical", "leftmost", "rightmost"),
-                           help="rewriting schedule (rightmost scales to long words)")
+                           help="rewriting schedule; no schedule is fastest on every "
+                                "word, and canonical can need exponentially many steps")
         if max_len:
             p.add_argument("--max-len", type=int, required=True, dest="max_len")
         if max_new:
             p.add_argument("--max-new", type=int, default=100, dest="max_new",
                            help="completion addition budget")
 
-    add_common(sub.add_parser("verify-gsb", help="check all compositions"))
+    add_common(sub.add_parser("verify-gsb", help="check all compositions"),
+               jobs=True, scope=True)
     add_common(sub.add_parser("nf", help="normal form of a word"), word=True)
-    add_common(sub.add_parser("compositions", help="list compositions, optionally scoped"))
+    add_common(sub.add_parser("compositions", help="list compositions, optionally scoped"),
+               scope=True)
     add_common(sub.add_parser("complete", help="Shirshov completion"), max_new=True)
-    add_common(sub.add_parser("irr", help="irreducible words up to a length"), max_len=True)
-    add_common(sub.add_parser("dump-presentation", help="print the presentation file"))
+    add_common(sub.add_parser("irr", help="irreducible words up to a length"),
+               fuel=False, max_len=True)
+    add_common(sub.add_parser("dump-presentation", help="print the presentation file"),
+               fuel=False)
     return parser
 
 

@@ -284,21 +284,23 @@ class Polynomial:
         return hash((self.alphabet, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         # deterministic without an order spec: longest words first, then by id tuple
-        keys = sorted(self.terms, key=lambda t: (-len(t), t))
-        parts: list[str] = []
-        for t in keys:
-            c = self.terms[t]
-            word = " ".join(self.alphabet.letters[i].name for i in t) if t else "1"
-            mag = abs(c)
-            body = word if mag == 1 else f"{mag} {word}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _join_terms(self, sorted(self.terms, key=lambda t: (-len(t), t)))
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)})"
+
+
+def _join_terms(p: Polynomial, keys: Iterable[tuple[int, ...]]) -> str:
+    """Signed display of the terms of p in the order of ``keys``; "0" if there are none."""
+    parts: list[str] = []
+    for t in keys:
+        c = p.terms[t]
+        word = " ".join(p.alphabet.letters[i].name for i in t) if t else "1"
+        mag = abs(c)
+        body = word if mag == 1 else f"{mag} {word}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"

@@ -26,17 +26,19 @@ composition polynomial (steps on cancelled terms are no-ops).
 from __future__ import annotations
 
 import functools
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .freealg import Polynomial, Word
 from .orders import LESS, OrderSpec, compare_ids
 from .reduction import (DEFAULT_FUEL, FuelExhausted, Presentation,
                         ReductionStep, ReductionTrace, _decode, _encode,
-                        format_polynomial, leading, normal_form)
+                        _find_site, format_polynomial, leading, normal_form)
 
 
 class InconsistentAmbiguity(ValueError):
@@ -190,11 +192,9 @@ def check_trivial(f: Polynomial, g: Polynomial, amb: Ambiguity, S: Presentation,
     if S._rules is not None and sorted(comp.terms.values()) == [Fraction(-1), Fraction(1)]:
         (pos_t,) = (t for t, c in comp.terms.items() if c == 1)
         (neg_t,) = (t for t, c in comp.terms.items() if c == -1)
-        eng = S._engine()
         emit: list = []
         try:
-            su, used = eng.run(_encode(pos_t), fuel, 0, emit)
-            sv, used = eng.run(_encode(neg_t), fuel, used, emit)
+            su, sv, used = _branch_nfs(S, _encode(pos_t), _encode(neg_t), fuel, emit)
         except FuelExhausted as e:
             raise FuelExhausted(e.fuel_used,
                                 partial=Word(S.alphabet, _decode(e.partial))) from None
@@ -207,59 +207,91 @@ def check_trivial(f: Polynomial, g: Polynomial, amb: Ambiguity, S: Presentation,
     return nf.is_zero(), trace
 
 
-def _scope_set(scope) -> Optional[set[tuple[str, str]]]:
+def _branch_nfs(S: Presentation, u: str, v: str, fuel: int,
+                emit: Optional[list] = None) -> tuple[str, str, int]:
+    """Normal forms of the encoded branch words u, v of a binomial
+    composition, rewritten in that order under one shared fuel budget."""
+    eng = S._engine()
+    nu, used = eng.run(u, fuel, 0, emit)
+    nv, used = eng.run(v, fuel, used, emit)
+    return nu, nv, used
+
+
+def _scope_set(scope, families: Sequence[str]) -> Optional[set[tuple[str, str]]]:
     if scope is None:
         return None
     if (isinstance(scope, tuple) and len(scope) == 2
             and all(isinstance(x, str) for x in scope)):
-        return {scope}
-    return {tuple(p) for p in scope}
+        scopes = {scope}
+    else:
+        scopes = {tuple(p) for p in scope}
+    unknown = {x for pair in scopes for x in pair} - set(families)
+    if unknown:
+        raise ValueError("scope names unknown families: "
+                         + ", ".join(sorted(map(repr, unknown))))
+    return scopes
 
 
-def _check_pair(S: Presentation, i: int, j: int, fuel: int):
-    """Check all ambiguities of one ordered pair; returns (count, failures).
+def _rows(S: Presentation, scopes: Optional[set[tuple[str, str]]]
+          ) -> list[tuple[int, Sequence[int]]]:
+    """Each relation i that has ordered pairs (i, j) in scope, with those j."""
+    m = len(S.relations)
+    if scopes is None:
+        return [(i, range(m)) for i in range(m)]
+    fams = S.families
+    rows = [(i, [j for j in range(m) if (fams[i], fams[j]) in scopes]) for i in range(m)]
+    return [(i, js) for i, js in rows if js]
 
-    Failures are returned as (ordinal, reason); evidence is recomputed by
-    the caller on the polynomial path so that worker payloads stay small.
+
+def _verdict(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[str]:
+    """None if the composition of amb is trivial, else "nontrivial" or "fuel".
+
+    On binomial presentations the verdict comes from the two branch words
+    of the composition, built from the stored tails: identical words are a
+    zero composition, and otherwise both are rewritten as in check_trivial.
     """
-    li, lj = S.lead(i), S.lead(j)
-    ambs = enumerate_ambiguities(li, lj, i, j)
-    failures: list[tuple[int, str]] = []
-    if S._rules is not None:
-        eng = S._engine()
-        rf = _tail(S, i)
-        rg = _tail(S, j)
-        for o, amb in enumerate(ambs):
-            if amb.kind == "intersection":
-                u = amb.a.letters + rg
-                v = rf + amb.b.letters
-            else:
-                u = amb.a.letters + rg + amb.b.letters
-                v = rf
-            try:
-                nu, used = eng.run(_encode(u), fuel)
-                nv, _ = eng.run(_encode(v), fuel, used)
-            except FuelExhausted:
-                failures.append((o, "fuel"))
-                continue
-            if nu != nv:
-                failures.append((o, "nontrivial"))
-        return len(ambs), failures
-    for o, amb in enumerate(ambs):
-        try:
+    i, j = amb.left_rel, amb.right_rel
+    tails = S._tails
+    try:
+        if tails is None:
             ok, _ = check_trivial(S.relations[i], S.relations[j], amb, S, fuel)
-        except FuelExhausted:
-            failures.append((o, "fuel"))
-            continue
-        if not ok:
-            failures.append((o, "nontrivial"))
-    return len(ambs), failures
+        else:
+            a, b = amb.a.letters, amb.b.letters
+            if amb.kind == "intersection":
+                u, v = a + tails[j], tails[i] + b
+            else:
+                u, v = a + tails[j] + b, tails[i]
+            if u == v:
+                return None
+            nu, nv, _ = _branch_nfs(S, _encode(u), _encode(v), fuel)
+            ok = nu == nv
+    except FuelExhausted:
+        return "fuel"
+    return None if ok else "nontrivial"
 
 
-def _tail(S: Presentation, i: int) -> tuple[int, ...]:
-    """The non-leading word of a binomial relation u - v."""
-    (t,) = [t for t in S.relations[i].terms if t != S._lead[i]]
-    return t
+def _check_row(S: Presentation, i: int, js: Iterable[int], fuel: int
+               ) -> Iterator[tuple[int, int, Ambiguity, Optional[str]]]:
+    """Check every ambiguity of the ordered pairs (i, j), j in js, in
+    enumeration order; yields (i, j, ambiguity, reason), where reason is
+    None for a trivial composition, "nontrivial" or "fuel"."""
+    li = S.lead(i)
+    for j in js:
+        for amb in enumerate_ambiguities(li, S.lead(j), i, j):
+            yield i, j, amb, _verdict(S, amb, fuel)
+
+
+def _failure(S: Presentation, amb: Ambiguity, reason: str, fuel: int) -> VerificationFailure:
+    """The evidence for a failed check: check_trivial re-run, keeping its trace."""
+    f, g = S.relations[amb.left_rel], S.relations[amb.right_rel]
+    try:
+        _, trace = check_trivial(f, g, amb, S, fuel)
+    except FuelExhausted as e:
+        trace = e.trace
+        if trace is None:
+            # the word path keeps no trace: report the composition unreduced
+            trace = ReductionTrace([], composition(f, g, amb, S.order), e.fuel_used)
+    return VerificationFailure(amb, trace.result, trace, reason)
 
 
 _WORKER_STATE: dict = {}
@@ -270,10 +302,9 @@ def _init_worker(S: Presentation, fuel: int) -> None:
     _WORKER_STATE["fuel"] = fuel
 
 
-def _check_pair_task(pair: tuple[int, int]):
-    S, fuel = _WORKER_STATE["S"], _WORKER_STATE["fuel"]
-    i, j = pair
-    return _check_pair(S, i, j, fuel)
+def _row_task(row: tuple[int, Sequence[int]]):
+    i, js = row
+    return list(_check_row(_WORKER_STATE["S"], i, js, _WORKER_STATE["fuel"]))
 
 
 def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
@@ -281,83 +312,61 @@ def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
     """Check triviality of every composition of every ordered relation pair.
 
     scope, when given, is one (family_i, family_j) label pair or an
-    iterable of such pairs; only matching ordered pairs are checked.
-    Fuel exhaustion is recorded as a failure with reason "fuel" and never
-    aborts the run.  The report does not depend on ``jobs``.
+    iterable of such pairs; only matching ordered pairs are checked, and
+    a label that is not a family of S raises ValueError.  Fuel exhaustion
+    is recorded as a failure with reason "fuel" and never aborts the run.
+    ``jobs`` must be at least 1; it is capped by the CPU count and by the
+    number of relations with pairs in scope.  The report does not depend
+    on ``jobs``.
     """
-    scopes = _scope_set(scope)
-    fams = S.families
-    m = len(S.relations)
-    pairs = [(i, j) for i in range(m) for j in range(m)
-             if scopes is None or (fams[i], fams[j]) in scopes]
-    if jobs > 1 and len(pairs) > 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    rows = _rows(S, _scope_set(scope, S.families))
+    jobs = min(jobs, os.cpu_count() or 1, len(rows))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(S, fuel)) as pool:
-            chunk = max(1, len(pairs) // (jobs * 8))
-            results = list(pool.map(_check_pair_task, pairs, chunksize=chunk))
+            chunk = max(1, len(rows) // (jobs * 8))
+            checks = chain.from_iterable(list(pool.map(_row_task, rows, chunksize=chunk)))
     else:
-        results = [_check_pair(S, i, j, fuel) for i, j in pairs]
+        checks = chain.from_iterable(_check_row(S, i, js, fuel) for i, js in rows)
 
+    fams = S.families
     ambiguities = 0
     matrix: dict[tuple[str, str], int] = {}
     failures: list[VerificationFailure] = []
-    for (i, j), (count, fails) in zip(pairs, results):
-        ambiguities += count
-        if count:
-            key = (fams[i], fams[j])
-            matrix[key] = matrix.get(key, 0) + count
-        for ordinal, reason in fails:
-            amb = enumerate_ambiguities(S.lead(i), S.lead(j), i, j)[ordinal]
-            try:
-                _, trace = check_trivial(S.relations[i], S.relations[j], amb, S, fuel)
-                remainder = trace.result
-            except FuelExhausted as e:
-                if e.trace is not None:
-                    remainder, trace = e.trace.result, e.trace
-                else:
-                    # word path ran dry: report the composition unreduced
-                    remainder = composition(S.relations[i], S.relations[j], amb, S.order)
-                    trace = ReductionTrace([], remainder, e.fuel_used)
-            failures.append(VerificationFailure(amb, remainder, trace, reason))
-    return VerificationReport(pairs_checked=len(pairs), ambiguities_checked=ambiguities,
+    for i, j, amb, reason in checks:
+        ambiguities += 1
+        key = (fams[i], fams[j])
+        matrix[key] = matrix.get(key, 0) + 1
+        if reason is not None:
+            failures.append(_failure(S, amb, reason, fuel))
+    return VerificationReport(pairs_checked=sum(len(js) for _, js in rows),
+                              ambiguities_checked=ambiguities,
                               failures=tuple(failures), family_matrix=matrix, order=S.order)
 
 
 def verify_minimal(S: Presentation) -> MinimalityReport:
     """Interreducedness: no lead contains another lead; all tails irreducible."""
-    leads = S._lead
+    leads = S._lead_s
     containments: list[tuple[int, int, int]] = []
     reducible: list[tuple[int, Word, int]] = []
     for i, li in enumerate(leads):
         for j, lj in enumerate(leads):
-            if i == j:
-                continue
-            m = len(lj)
-            for p in range(len(li) - m + 1):
-                if li[p:p + m] == lj:
+            if i != j:
+                p = li.find(lj)
+                if p >= 0:
                     containments.append((i, j, p))
-                    break
     for i, rel in enumerate(S.relations):
         for t in rel.terms:
-            if t == leads[i]:
+            if t == S._lead[i]:
                 continue
-            hit = _reducible_by(t, S, skip=i)
-            if hit is not None:
-                reducible.append((i, Word(S.alphabet, t), hit))
+            site = _find_site(_encode(t), S, skip=i)
+            if site is not None:
+                reducible.append((i, Word(S.alphabet, t), site[0]))
     return MinimalityReport(ok=not containments and not reducible,
                             containments=tuple(containments),
                             reducible_tails=tuple(reducible))
-
-
-def _reducible_by(word: tuple[int, ...], S: Presentation, skip: int) -> Optional[int]:
-    for j, lead in enumerate(S._lead):
-        if j == skip:
-            continue
-        m = len(lead)
-        for p in range(len(word) - m + 1):
-            if word[p:p + m] == lead:
-                return j
-    return None
 
 
 def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL

@@ -30,20 +30,28 @@ the rewrite path taken, and the path lengths can differ enormously:
   rewrite disturbed, applying length-decreasing rules leftmost-first and
   other rules rightmost-first, and only rescans the whole word when the
   region is quiet.  This tracks each rewriting passage to completion
-  before starting the next and stays near-linear in practice.
+  before starting the next.
 * ``leftmost`` is a left-to-right prefix fold: letters are appended one at
   a time onto an already-irreducible prefix, which is renormalised after
   each append.  Work therefore always happens at the left frontier of the
   unread input.
+
+Neither passage-coherent schedule is near-linear in general, and neither
+wins on every word (``bench/seed_results.json``): on the B_3 power
+(sigma_1 sigma_2^-1)^64 rightmost takes 28,581 steps against leftmost's
+483; on the B_4 power (sigma_2 sigma_1^-1 sigma_3^-1 sigma_2)^10 rightmost
+exhausts the default fuel of 10^6 steps where leftmost takes 55,026; and
+on random words either one can be the faster.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .freealg import Alphabet, Polynomial, Word
+from .freealg import Alphabet, Polynomial, Word, _join_terms
 from .orders import GREATER, LESS, OrderSpec, compare, compare_ids
 
 
@@ -140,7 +148,8 @@ class Presentation:
     """
 
     __slots__ = ("alphabet", "order", "relations", "families", "order_text",
-                 "_lead", "_lead_set", "_max_lead", "_rules", "_word_eng")
+                 "_lead", "_lead_s", "_lead_set", "_max_lead", "_tails", "_rules",
+                 "_word_eng")
 
     def __init__(self, alphabet: Alphabet, order: OrderSpec,
                  relations: Iterable[Polynomial], families: Optional[Sequence[str]] = None,
@@ -166,27 +175,25 @@ class Presentation:
         self.families: tuple[str, ...] = families
         self.order_text = order_text
         self._lead = tuple(leads)
+        self._lead_s = tuple(map(_encode, leads))
         self._lead_set = frozenset(leads)
         self._max_lead = max((len(t) for t in leads), default=0)
-        # word-rewriting rules exist iff every relation is binomial with coefficients 1, -1
-        rules: Optional[list[tuple[str, str]]] = []
+        # tails and word-rewriting rules exist iff every relation is binomial
+        # with coefficients 1, -1
+        tails: Optional[list[tuple[int, ...]]] = []
         for i, p in enumerate(rels):
             if len(p.terms) != 2:
-                rules = None
+                tails = None
                 break
             (rhs,) = [t for t in p.terms if t != self._lead[i]]
             if p.terms[rhs] != -1:
-                rules = None
+                tails = None
                 break
-            rules.append((_encode(self._lead[i]), _encode(rhs)))
-        self._rules = tuple(rules) if rules is not None else None
+            tails.append(rhs)
+        self._tails = tuple(tails) if tails is not None else None
+        self._rules = (tuple(zip(self._lead_s, map(_encode, tails)))
+                       if tails is not None else None)
         self._word_eng: Optional[_WordEngine] = None
-
-    @classmethod
-    def from_polynomials(cls, alphabet: Alphabet, order: OrderSpec,
-                         polys: Iterable[Polynomial], families: Optional[Sequence[str]] = None,
-                         order_text: Optional[str] = None) -> "Presentation":
-        return cls(alphabet, order, polys, families, order_text)
 
     @classmethod
     def from_oriented(cls, alphabet: Alphabet, order: OrderSpec,
@@ -234,22 +241,13 @@ class Presentation:
         self.__init__(*state)
 
 
-def _find_site(word: tuple[int, ...], S: Presentation) -> Optional[tuple[int, int]]:
-    """Lowest relation index, then leftmost position, of a leading-word occurrence."""
-    if S._rules is not None:
-        s = _encode(word)
-        present = set(s)
-        for idx, (lhs, _) in enumerate(S._rules):
-            if lhs[0] in present:
-                p = s.find(lhs)
-                if p >= 0:
-                    return idx, p
-        return None
-    n = len(word)
-    for idx, lhs in enumerate(S._lead):
-        m = len(lhs)
-        for p in range(n - m + 1):
-            if word[p:p + m] == lhs:
+def _find_site(s: str, S: Presentation, skip: int = -1) -> Optional[tuple[int, int]]:
+    """Lowest relation index (other than ``skip``), then leftmost position, of a
+    leading-word occurrence in the encoded word s."""
+    for idx, lhs in enumerate(S._lead_s):
+        if idx != skip:
+            p = s.find(lhs)
+            if p >= 0:
                 return idx, p
     return None
 
@@ -260,7 +258,7 @@ def reduce_once(p: Polynomial, S: Presentation,
     best: Optional[tuple[int, ...]] = None
     site: Optional[tuple[int, int]] = None
     for t in p.terms:
-        s = _find_site(t, S)
+        s = _find_site(_encode(t), S)
         if s is None:
             continue
         if best is None or compare_ids(S.order, t, best) == GREATER:
@@ -302,25 +300,18 @@ def normal_form(p: Polynomial, S: Presentation, fuel: int = DEFAULT_FUEL,
         used += 1
 
 
-def _rewrite_canonical(s: str, rules: Sequence[tuple[str, str]], fuel: int) -> tuple[str, int]:
+def _rewrite_canonical(s: str, S: Presentation, fuel: int) -> tuple[str, int]:
     """Flat schedule: lowest rule index, then leftmost occurrence (reduce_once mirror)."""
     used = 0
     while True:
-        hit_idx = -1
-        hit_pos = -1
-        present = set(s)
-        for idx, (lhs, _) in enumerate(rules):
-            if lhs[0] in present:
-                p = s.find(lhs)
-                if p >= 0:
-                    hit_idx, hit_pos = idx, p
-                    break
-        if hit_idx < 0:
+        site = _find_site(s, S)
+        if site is None:
             return s, used
         if used >= fuel:
             raise FuelExhausted(used, partial=s)
-        lhs, rhs = rules[hit_idx]
-        s = s[:hit_pos] + rhs + s[hit_pos + len(lhs):]
+        idx, p = site
+        lhs, rhs = S._rules[idx]
+        s = s[:p] + rhs + s[p + len(lhs):]
         used += 1
 
 
@@ -428,7 +419,7 @@ def word_nf(w: Word, S: Presentation, fuel: int = DEFAULT_FUEL, strategy: str = 
         raise NotBinomial("presentation has a relation that is not of the form u - v")
     try:
         if strategy == "canonical":
-            s, _ = _rewrite_canonical(_encode(w.letters), S._rules, fuel)
+            s, _ = _rewrite_canonical(_encode(w.letters), S, fuel)
         elif strategy == "rightmost":
             s, _ = S._engine().run(_encode(w.letters), fuel)
         elif strategy == "leftmost":
@@ -442,18 +433,5 @@ def word_nf(w: Word, S: Presentation, fuel: int = DEFAULT_FUEL, strategy: str = 
 
 def format_polynomial(p: Polynomial, order: OrderSpec) -> str:
     """Deterministic display with terms sorted descending under the order."""
-    if not p.terms:
-        return "0"
-    import functools
-    keys = sorted(p.terms, key=functools.cmp_to_key(lambda a, b: compare_ids(order, a, b)), reverse=True)
-    parts: list[str] = []
-    for t in keys:
-        c = p.terms[t]
-        word = " ".join(p.alphabet.letters[i].name for i in t) if t else "1"
-        mag = abs(c)
-        body = word if mag == 1 else f"{mag} {word}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    key = functools.cmp_to_key(lambda a, b: compare_ids(order, a, b))
+    return _join_terms(p, sorted(p.terms, key=key, reverse=True))

@@ -29,6 +29,17 @@ b . b . b = a
 """
 
 
+# x = z makes both inclusions nontrivial: x y = 1 against z y, and y x = 1
+# against y z; the overlaps x y x and y x y of the cancellations are trivial
+TWO_INCLUSIONS = """\
+letters: x > y > z
+order: deglex
+x.y = 1
+y.x = 1
+x = z
+"""
+
+
 def _write(tmp_path, text):
     path = tmp_path / "system.txt"
     path.write_text(text, encoding="utf-8")
@@ -150,6 +161,33 @@ def test_verify_all_fuel_failures_exit_three(capsys):
 def test_verify_bad_scope_is_a_usage_error(capsys):
     assert main(["verify-gsb", "--n", "2", "--scope", "16"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_scope_families(capsys):
+    for command in ("verify-gsb", "compositions"):
+        assert main([command, "--n", "3", "--scope", "99,99", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown family '99'" in captured.err
+
+
+def test_verify_rejects_fewer_than_one_job(capsys):
+    assert main(["verify-gsb", "--n", "2", "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_and_compositions_agree_under_low_fuel(tmp_path, capsys):
+    # at w = x y x both branch words are x, a zero composition, even though
+    # rewriting x itself would need fuel
+    path = _write(tmp_path, TWO_INCLUSIONS)
+    assert main(["verify-gsb", "--presentation", path, "--fuel", "0", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert main(["compositions", "--presentation", path, "--fuel", "0", "--json"]) == 1
+    listing = json.loads(capsys.readouterr().out)
+    failed = [(f["left"], f["right"], f["w"]) for f in report["failures"]]
+    nontrivial = [(i["left"], i["right"], i["w"]) for i in listing["instances"]
+                  if not i["trivial"]]
+    assert failed == nontrivial == [(0, 2, "x y"), (1, 2, "y x")]
+    assert all(f["remainder"] != "0" for f in report["failures"])
 
 
 # --- nf ----------------------------------------------------------------------
@@ -299,3 +337,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-gsb", "--presentation", str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys):
+    assert main(["irr", "--n", "2", "--max-len", "1", "--jobs", "2"]) == 2
+    assert main(["nf", "--n", "2", "--word", "g1", "--scope", "16,16"]) == 2
+    assert main(["dump-presentation", "--n", "2", "--fuel", "5"]) == 2
+    assert main(["compositions", "--n", "2", "--jobs", "2"]) == 2
+    assert capsys.readouterr().out == ""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from gsbraid import gsb
 from gsbraid.braid import artin_markov, braid_scheme
 from gsbraid.freealg import Alphabet, Letter, Polynomial, Word
 from gsbraid.gsb import (
@@ -213,6 +214,55 @@ def test_verification_scope_accepts_iterables_of_pairs():
     assert report.ok
     assert report.pairs_checked == 8 + 12
     assert report.ambiguities_checked == 4    # squares never meet cancellations
+
+
+def test_verification_scope_rejects_unknown_families():
+    with pytest.raises(ValueError, match="'99'"):
+        verify_gsb(S3, scope=("99", "99"))
+    with pytest.raises(ValueError, match="'1'"):
+        verify_gsb(S3, scope=[("16", "2"), ("2", "1")])  # family 1 needs four strands
+    # a family pair that exists but never overlaps is a valid, empty scope
+    report = verify_gsb(S3, scope=("2", "2"))
+    assert (report.pairs_checked, report.ambiguities_checked) == (16, 0) and report.ok
+
+
+def test_verification_rejects_fewer_than_one_job():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            verify_gsb(S3, jobs=jobs)
+
+
+def test_verification_jobs_are_capped_by_cpus_and_rows(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(gsb, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(gsb, "_WORKER_STATE", {})
+    monkeypatch.setattr(gsb.os, "cpu_count", lambda: 4)
+    serial = verify_gsb(S3).to_json_dict()
+    assert verify_gsb(S3, jobs=10**6).to_json_dict() == serial
+    assert started == [4]
+    # two relations of family 16 have pairs in this scope: two rows
+    scoped = verify_gsb(S3, scope=("16", "2"), jobs=3)
+    assert started == [4, 2] and scoped.ambiguities_checked == 4
+    monkeypatch.setattr(gsb.os, "cpu_count", lambda: None)
+    assert verify_gsb(S3, jobs=8).to_json_dict() == serial
+    assert started == [4, 2]  # an unknown CPU count runs serially
 
 
 def test_verification_flags_missing_commutation_family():

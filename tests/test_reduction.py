@@ -22,9 +22,10 @@ from gsbraid import (
     normal_form,
     ranking_of,
     reduce_once,
+    verify_minimal,
     word_nf,
 )
-from gsbraid.braid import artin_markov, artin_to_s, braid_scheme
+from gsbraid.braid import artin_markov, artin_to_s, braid_nf, braid_scheme
 
 S3 = artin_markov(3)
 SCH3 = braid_scheme(3)
@@ -314,3 +315,112 @@ def test_word_nf_on_artin_image():
     w = artin_to_s((2, -2), SCH3)
     assert w == W3("s23 g2^-1 g2^-1")
     assert word_nf(w, S3) == SCH3.alphabet.empty_word()
+
+
+# ------------------------------------------------------- schedule step counts
+
+# The exact rewrite steps of each schedule, pinned by the fuel boundary:
+# braid_nf fails with one step less and finishes with exactly this many.
+# A change to any schedule's site choice moves these counts.
+SCHEDULE_STEPS = [
+    (3, (1, -2) * 64, "rightmost", 28581),
+    (3, (1, -2) * 64, "leftmost", 483),
+    (3, (1, 2, 1), "canonical", 20),
+    (3, (-1, -2, -1, 2), "canonical", 6),
+    (3, (-2, 1, 2, -1), "canonical", 22),
+    (3, (1, -2, 1, -2), "canonical", 18),
+    (4, (1, 2, 3), "canonical", 100),
+    (4, (2, 1, 3, 2), "canonical", 437),
+    (4, (2, 1, 3, 2), "rightmost", 28),
+    (4, (2, 1, 3, 2), "leftmost", 52),
+]
+
+
+@pytest.mark.parametrize("n, word, strategy, steps", SCHEDULE_STEPS)
+def test_schedule_step_count_by_fuel_boundary(n, word, strategy, steps):
+    with pytest.raises(FuelExhausted):
+        braid_nf(word, n, fuel=steps - 1, strategy=strategy)
+    braid_nf(word, n, fuel=steps, strategy=strategy)
+
+
+# ------------------------------------------------------------- site finding
+
+
+def _first_site(word: tuple, leads: list, skip: int = -1):
+    """Reference finder on letter tuples: lowest relation index, then leftmost position."""
+    for idx, lhs in enumerate(leads):
+        if idx == skip:
+            continue
+        for p in range(len(word) - len(lhs) + 1):
+            if word[p:p + len(lhs)] == lhs:
+                return idx, p
+    return None
+
+
+def _non_binomial(with_constant: bool) -> Presentation:
+    """Trinomial, monomial and binomial relations; optionally the constant 1,
+    whose leading word is empty and so occurs at position 0 of every word."""
+    ab = Alphabet([Letter("z"), Letter("y"), Letter("x")])
+
+    def P(text: str, c=1) -> Polynomial:
+        return Polynomial.from_word(ab.word(text), c)
+
+    rels = [P("x y x") - P("y") - P(""), P("y y") - P("x", 2), P("z x z"),
+            P("x z") + P("z y")]
+    if with_constant:
+        rels.append(P("", 3))
+    return Presentation(ab, DegLex(ranking_of(range(3))), rels)
+
+
+SITE_PRESENTATIONS = (_non_binomial(True), _non_binomial(False), S3)
+
+
+def _leads(S: Presentation) -> list:
+    return [S.lead(i).letters for i in range(len(S.relations))]
+
+
+def test_site_finder_matches_tuple_reference():
+    rng = random.Random(79)
+    for S in SITE_PRESENTATIONS:
+        leads = _leads(S)
+        hits = 0
+        for _ in range(400):
+            word = tuple(rng.randrange(len(S.alphabet)) for _ in range(rng.randrange(9)))
+            out = reduce_once(Polynomial.from_word(Word(S.alphabet, word)), S)
+            expected = _first_site(word, leads)
+            if expected is None:
+                assert out is None, word
+                continue
+            hits += 1
+            assert out is not None, word
+            assert (out[1].relation, out[1].position) == expected, word
+        assert hits > 0
+
+
+def test_empty_leading_word_matches_at_position_zero():
+    S = _non_binomial(True)
+    last = len(S.relations) - 1
+    assert S.lead(last).letters == ()
+    out = reduce_once(Polynomial.from_word(S.alphabet.word("z z")), S)
+    assert out is not None and (out[1].relation, out[1].position) == (last, 0)
+
+
+def test_minimality_scan_matches_tuple_reference():
+    for S in SITE_PRESENTATIONS:
+        leads = _leads(S)
+        containments = []
+        for i, li in enumerate(leads):
+            for j, lj in enumerate(leads):
+                site = _first_site(li, [lj]) if i != j else None
+                if site is not None:
+                    containments.append((i, j, site[1]))
+        reducible = []
+        for i, rel in enumerate(S.relations):
+            for t in rel.terms:
+                site = _first_site(t, leads, skip=i) if t != leads[i] else None
+                if site is not None:
+                    reducible.append((i, Word(S.alphabet, t), site[0]))
+        report = verify_minimal(S)
+        assert report.containments == tuple(containments)
+        assert report.reducible_tails == tuple(reducible)
+        assert report.ok == (not containments and not reducible)
