@@ -17,7 +17,8 @@ from .reduction import (DEFAULT_FUEL, FuelExhausted, NotBinomial,
                         OrientationError, Presentation, ReductionStep,
                         ReductionTrace, ZeroPolynomial, format_polynomial,
                         leading, normal_form, reduce_once, word_nf)
-from .gsb import (Ambiguity, CompletionEvent, Diverged, InconsistentAmbiguity,
+from .gsb import (Ambiguity, CompletionEvent, Diverged, EmptyLeadingWord,
+                  InconsistentAmbiguity,
                   MinimalityReport, VerificationFailure, VerificationReport,
                   check_trivial, complete, composition, enumerate_ambiguities,
                   enumerate_irr, verify_gsb, verify_minimal)
@@ -35,7 +36,8 @@ __all__ = [
     "DEFAULT_FUEL", "FuelExhausted", "NotBinomial", "OrientationError",
     "Presentation", "ReductionStep", "ReductionTrace", "ZeroPolynomial",
     "format_polynomial", "leading", "normal_form", "reduce_once", "word_nf",
-    "Ambiguity", "CompletionEvent", "Diverged", "InconsistentAmbiguity",
+    "Ambiguity", "CompletionEvent", "Diverged", "EmptyLeadingWord",
+    "InconsistentAmbiguity",
     "MinimalityReport", "VerificationFailure", "VerificationReport",
     "check_trivial", "complete", "composition", "enumerate_ambiguities",
     "enumerate_irr", "verify_gsb", "verify_minimal",

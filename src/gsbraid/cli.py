@@ -23,8 +23,10 @@ enclosing tower.  Tower groups are listed innermost first, so the braid
 scheme order reads ``tower(deginlex(S3), S2, sigma)``.
 
 Exit codes: 0 success; 1 verification failure (a nontrivial composition,
-or completion diverged); 2 parse or usage error; 3 fuel exhausted (every
-reported failure ran out of fuel, or nf/complete hit the fuel bound).
+or completion diverged); 2 parse or usage error (including a negative
+--fuel, or a relation with an empty leading word in verify-gsb,
+compositions and complete); 3 fuel exhausted (every reported failure ran
+out of fuel, or nf/complete hit the fuel bound).
 
 JSON reports (--json) are schema-stable and byte-identical for every
 --jobs setting.
@@ -40,8 +42,9 @@ from typing import Optional, Sequence
 
 from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
-from .gsb import (Diverged, _check_row, _failure, _rows, _scope_set,
-                  enumerate_irr, verify_gsb)
+from .gsb import (Diverged, EmptyLeadingWord, _check_row, _failure,
+                  _require_nonempty_leads, _rows, _scope_set, enumerate_irr,
+                  verify_gsb)
 from .orders import DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
 from .reduction import (DEFAULT_FUEL, FuelExhausted, NotBinomial,
                         OrientationError, Presentation, ZeroPolynomial,
@@ -358,6 +361,7 @@ def _cmd_nf(args) -> int:
 
 def _cmd_compositions(args) -> int:
     S, _ = _load_presentation(args)
+    _require_nonempty_leads(S)
     scope = _scope_arg(args, S)
     fams = S.families
     instances = []
@@ -452,6 +456,17 @@ def _cmd_dump(args) -> int:
     return 0
 
 
+def _fuel_arg(text: str) -> int:
+    """--fuel: a rewrite-step budget of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsbraid",
@@ -465,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--presentation", help="presentation file")
         p.add_argument("--order", help="order spec, overrides the file's order")
         if fuel:
-            p.add_argument("--fuel", type=int, default=DEFAULT_FUEL, help="reduction step budget")
+            p.add_argument("--fuel", type=_fuel_arg, default=DEFAULT_FUEL,
+                           help="reduction step budget")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
         if scope:
@@ -514,7 +530,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, OrientationError, NotBinomial, ZeroPolynomial, OSError) as e:
+    except (ParseError, OrientationError, NotBinomial, ZeroPolynomial, EmptyLeadingWord,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FuelExhausted as e:

@@ -37,12 +37,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .freealg import Polynomial, Word
 from .orders import LESS, OrderSpec, compare_ids
 from .reduction import (DEFAULT_FUEL, FuelExhausted, Presentation,
-                        ReductionStep, ReductionTrace, _decode, _encode,
-                        _find_site, format_polynomial, leading, normal_form)
+                        ReductionStep, ReductionTrace, _check_fuel, _decode,
+                        _encode, _find_site, format_polynomial, leading,
+                        normal_form)
 
 
 class InconsistentAmbiguity(ValueError):
     """Raised when an ambiguity does not factor against the leading words."""
+
+
+class EmptyLeadingWord(ValueError):
+    """Raised on a relation whose leading word is empty (a nonzero constant)."""
 
 
 class Diverged(RuntimeError):
@@ -217,14 +222,25 @@ def _branch_nfs(S: Presentation, u: str, v: str, fuel: int,
     return nu, nv, used
 
 
+def _require_nonempty_leads(S: Presentation) -> None:
+    """Ambiguities are defined between nonempty leading words only."""
+    for k, lead in enumerate(S._lead):
+        if not lead:
+            raise EmptyLeadingWord(f"relation {k} has an empty leading word (a nonzero constant)")
+
+
+def _is_label_pair(x) -> bool:
+    return isinstance(x, tuple) and len(x) == 2 and all(isinstance(y, str) for y in x)
+
+
 def _scope_set(scope, families: Sequence[str]) -> Optional[set[tuple[str, str]]]:
     if scope is None:
         return None
-    if (isinstance(scope, tuple) and len(scope) == 2
-            and all(isinstance(x, str) for x in scope)):
-        scopes = {scope}
-    else:
-        scopes = {tuple(p) for p in scope}
+    scopes = [scope] if _is_label_pair(scope) else list(scope)
+    for pair in scopes:
+        if not _is_label_pair(pair):
+            raise ValueError(f"scope entries must be (family, family) label pairs, got {pair!r}")
+    scopes = set(scopes)
     unknown = {x for pair in scopes for x in pair} - set(families)
     if unknown:
         raise ValueError("scope names unknown families: "
@@ -274,11 +290,19 @@ def _check_row(S: Presentation, i: int, js: Iterable[int], fuel: int
                ) -> Iterator[tuple[int, int, Ambiguity, Optional[str]]]:
     """Check every ambiguity of the ordered pairs (i, j), j in js, in
     enumeration order; yields (i, j, ambiguity, reason), where reason is
-    None for a trivial composition, "nontrivial" or "fuel"."""
+    None for a trivial composition, "nontrivial" or "fuel".
+
+    A pair is skipped when the first letter of lead j does not occur in
+    lead i: an intersection or an inclusion would put it there.  Leading
+    words must be nonempty (see _require_nonempty_leads).
+    """
     li = S.lead(i)
+    leads = S._lead_s
+    fi = leads[i]
     for j in js:
-        for amb in enumerate_ambiguities(li, S.lead(j), i, j):
-            yield i, j, amb, _verdict(S, amb, fuel)
+        if leads[j][0] in fi:
+            for amb in enumerate_ambiguities(li, S.lead(j), i, j):
+                yield i, j, amb, _verdict(S, amb, fuel)
 
 
 def _failure(S: Presentation, amb: Ambiguity, reason: str, fuel: int) -> VerificationFailure:
@@ -313,12 +337,16 @@ def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
 
     scope, when given, is one (family_i, family_j) label pair or an
     iterable of such pairs; only matching ordered pairs are checked, and
-    a label that is not a family of S raises ValueError.  Fuel exhaustion
-    is recorded as a failure with reason "fuel" and never aborts the run.
-    ``jobs`` must be at least 1; it is capped by the CPU count and by the
-    number of relations with pairs in scope.  The report does not depend
-    on ``jobs``.
+    an entry that is not such a pair, or a label that is not a family of
+    S, raises ValueError.  ``fuel`` (at least 0) bounds each composition
+    check; fuel exhaustion is recorded as a failure with reason "fuel" and
+    never aborts the run.  ``jobs`` must be at least 1; it is capped by the
+    CPU count and by the number of relations with pairs in scope.  The
+    report does not depend on ``jobs``.  A relation with an empty leading
+    word (a nonzero constant) raises EmptyLeadingWord, a ValueError.
     """
+    _require_nonempty_leads(S)
+    _check_fuel(fuel)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     rows = _rows(S, _scope_set(scope, S.families))
@@ -376,8 +404,12 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
     New relations are appended in normal form with respect to the current
     system (so their leading words are fresh) and labeled c1, c2, ...;
     earlier relations are never rewritten.  Raises Diverged when more than
-    max_new additions would be needed.
+    max_new additions would be needed.  ``fuel`` (at least 0) bounds each
+    reduction; a relation of S with an empty leading word (a nonzero
+    constant) raises EmptyLeadingWord, a ValueError.
     """
+    _require_nonempty_leads(S)
+    _check_fuel(fuel)
     cur = S
     log: list[CompletionEvent] = []
     queue: deque[tuple[int, int]] = deque(

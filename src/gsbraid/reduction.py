@@ -28,9 +28,9 @@ the rewrite path taken, and the path lengths can differ enormously:
 * ``rightmost`` works at the rightmost reducible site, with a locality
   window: after each rewrite it keeps working inside the region the
   rewrite disturbed, applying length-decreasing rules leftmost-first and
-  other rules rightmost-first, and only rescans the whole word when the
-  region is quiet.  This tracks each rewriting passage to completion
-  before starting the next.
+  other rules rightmost-first, and only looks for the rightmost site of
+  the whole word when the region is quiet.  This tracks each rewriting
+  passage to completion before starting the next.
 * ``leftmost`` is a left-to-right prefix fold: letters are appended one at
   a time onto an already-irreducible prefix, which is renormalised after
   each append.  Work therefore always happens at the left frontier of the
@@ -42,6 +42,13 @@ wins on every word (``bench/seed_results.json``): on the B_3 power
 483; on the B_4 power (sigma_2 sigma_1^-1 sigma_3^-1 sigma_2)^10 rightmost
 exhausts the default fuel of 10^6 steps where leftmost takes 55,026; and
 on random words either one can be the faster.
+
+Both passage-coherent schedules run on ``_WordEngine``, which finds sites
+with a trie over the encoded leading words, built once per presentation,
+and never scans the clean suffix of the word: the positions right of the
+last global pick, shifted along by each rewrite, where no leading word
+starts.  ``canonical`` keeps its ``str.find`` over the leading words in
+index order.
 """
 
 from __future__ import annotations
@@ -87,6 +94,11 @@ class FuelExhausted(RuntimeError):
 
 
 DEFAULT_FUEL = 10**6
+
+
+def _check_fuel(fuel: int) -> None:
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +297,10 @@ def reduce_once(p: Polynomial, S: Presentation,
 
 def normal_form(p: Polynomial, S: Presentation, fuel: int = DEFAULT_FUEL,
                 check_descent: bool = False) -> tuple[Polynomial, ReductionTrace]:
-    """Iterate reduce_once to a fixpoint; the result is supported on Irr(S)."""
+    """Iterate reduce_once to a fixpoint; the result is supported on Irr(S).
+
+    ``fuel`` (at least 0) bounds the number of steps."""
+    _check_fuel(fuel)
     steps: list[ReductionStep] = []
     used = 0
     cur = p
@@ -328,69 +343,103 @@ class _WordEngine:
     off cancellations as soon as they appear) and the remaining rules
     rightmost-first (they continue the passage of a letter travelling
     through the word).  Only when the region has no reducible site does the
-    engine rescan the whole word for the rightmost one.  This keeps each
+    engine look for the rightmost site of the whole word.  This keeps each
     rewriting passage coherent instead of interleaving passages, which is
     what makes flat schedules blow up on shuttle-style relation systems.
+
+    Sites are found with a trie over the left-hand sides, built once per
+    presentation.  A node is a dict from letter to child; under the key
+    ``""`` it holds the lowest-index rule whose left-hand side ends on the
+    path to it.  A child whose subtree cannot beat that rule is dropped,
+    and a node left without children is replaced by the rule itself, a
+    tuple ``(index, lhs, rhs, shrinking)``.  Walking from position p as far
+    as the trie goes thus yields the lowest-index rule whose left-hand side
+    starts at p, in at most ``max_lhs`` dict lookups.
+
+    ``run`` also keeps a clean suffix: no left-hand side starts at or after
+    ``clean``.  Whether one starts at q depends only on the text from q on,
+    and a rewrite left of q only shifts that text, so the bound survives
+    each rewrite; both scans stop at it.
     """
 
-    __slots__ = ("rules", "trig", "max_lhs")
+    __slots__ = ("trie", "max_lhs")
 
     def __init__(self, rules: Sequence[tuple[str, str]]):
-        self.rules = rules
         self.max_lhs = max((len(lhs) for lhs, _ in rules), default=1)
-        trig: dict[str, list[tuple[int, str, str, bool]]] = {}
+        root: dict = {}
         for idx, (lhs, rhs) in enumerate(rules):
-            trig.setdefault(lhs[0], []).append((idx, lhs, rhs, len(rhs) < len(lhs)))
-        self.trig = trig
+            node = root
+            for ch in lhs:
+                node = node.setdefault(ch, {})
+            node.setdefault("", (idx, lhs, rhs, len(rhs) < len(lhs)))
 
-    def _pick_region(self, s: str, lo: int, hi: int) -> Optional[tuple[int, int, str, str]]:
-        trig = self.trig
-        lo = max(lo, 0)
-        hi = min(hi, len(s) - 1)
-        other: Optional[tuple[int, int, str, str]] = None
-        for p in range(lo, hi + 1):
-            cands = trig.get(s[p])
-            if not cands:
-                continue
-            for idx, lhs, rhs, shrinking in cands:
-                if s.startswith(lhs, p):
-                    if shrinking:
-                        return idx, p, lhs, rhs
-                    other = (idx, p, lhs, rhs)
+        def build(node: dict, best: Optional[tuple]) -> tuple[object, int]:
+            """(compiled node, lowest rule index below it); a node whose
+            subtree cannot beat the best rule on its path becomes that rule."""
+            own = node.pop("", None)
+            if own is not None and (best is None or own[0] < best[0]):
+                best = own
+            low = own[0] if own is not None else len(rules)
+            out: dict = {}
+            for ch, child in node.items():
+                sub, sub_low = build(child, best)
+                low = min(low, sub_low)
+                if best is None or sub_low < best[0]:
+                    out[ch] = sub
+            if not out:
+                return best, low
+            if best is not None:
+                out[""] = best
+            return out, low
+
+        self.trie = build(root, None)[0] or {}
+
+    def _pick(self, s: str, positions: range, region: bool) -> Optional[tuple[int, tuple]]:
+        """(position, rule) of the first match in ``positions``; in a region,
+        the first length-decreasing match, else the last match."""
+        trie = self.trie
+        n = len(s)
+        other = None
+        for p in positions:
+            node = trie.get(s[p])
+            q = p + 1
+            while node.__class__ is dict:
+                nxt = node.get(s[q]) if q < n else None
+                if nxt is None:
+                    node = node.get("")
                     break
+                node = nxt
+                q += 1
+            if node is not None:
+                if not region or node[3]:
+                    return p, node
+                other = p, node
         return other
-
-    def _pick_global(self, s: str) -> Optional[tuple[int, int, str, str]]:
-        trig = self.trig
-        for p in range(len(s) - 1, -1, -1):
-            cands = trig.get(s[p])
-            if not cands:
-                continue
-            for idx, lhs, rhs, _ in cands:
-                if s.startswith(lhs, p):
-                    return idx, p, lhs, rhs
-        return None
 
     def run(self, s: str, fuel: int, used: int = 0,
             emit: Optional[_Emit] = None) -> tuple[str, int]:
         """Rewrite to a fixpoint; returns (irreducible word, total steps used)."""
-        lo: Optional[int] = None
-        hi = 0
+        region = range(0)
+        clean = len(s)  # no left-hand side starts at or after this position
         while True:
-            hit = self._pick_region(s, lo, hi) if lo is not None else None
+            # the region ascending (leftmost shrinking, else rightmost match),
+            # then the whole word descending (rightmost match)
+            hit = self._pick(s, region, True)
             if hit is None:
-                hit = self._pick_global(s)
+                hit = self._pick(s, range(clean - 1, -1, -1), False)
                 if hit is None:
                     return s, used
+                clean = hit[0] + 1
             if used >= fuel:
                 raise FuelExhausted(used, partial=s)
-            idx, p, lhs, rhs = hit
+            p, (idx, lhs, rhs, _) = hit
+            end = p + len(lhs)
             if emit is not None:
-                emit.append((idx, p, s[:p], s[p + len(lhs):]))
-            s = s[:p] + rhs + s[p + len(lhs):]
+                emit.append((idx, p, s[:p], s[end:]))
+            s = s[:p] + rhs + s[end:]
             used += 1
-            lo = p - self.max_lhs
-            hi = p + len(rhs)
+            clean = max(clean, end) + len(rhs) - len(lhs)
+            region = range(max(p - self.max_lhs, 0), min(p + len(rhs), clean - 1) + 1)
 
     def run_prefix(self, s: str, fuel: int, used: int = 0,
                    emit: Optional[_Emit] = None) -> tuple[str, int]:
@@ -413,8 +462,10 @@ def word_nf(w: Word, S: Presentation, fuel: int = DEFAULT_FUEL, strategy: str = 
     Equals the unique term word of normal_form on the one-term polynomial w.
     Requires every relation of S to be binomial u - v.  ``strategy`` picks
     the rewrite schedule (see the module docstring); all schedules agree on
-    the result when the relation set is closed under composition.
+    the result when the relation set is closed under composition.  ``fuel``
+    (at least 0) bounds the number of rewrite steps.
     """
+    _check_fuel(fuel)
     if S._rules is None:
         raise NotBinomial("presentation has a relation that is not of the form u - v")
     try:

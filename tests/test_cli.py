@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+from gsbraid import cli
 from gsbraid.braid import artin_markov
 from gsbraid.cli import ParseError, dump_presentation, main, parse_presentation
+from gsbraid.freealg import Polynomial
+from gsbraid.reduction import Presentation
 
 TOY = """\
 # squaring collapses to the small letter
@@ -173,6 +176,32 @@ def test_verify_rejects_unknown_scope_families(capsys):
 def test_verify_rejects_fewer_than_one_job(capsys):
     assert main(["verify-gsb", "--n", "2", "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_negative_fuel_is_a_usage_error(capsys):
+    for argv in (["verify-gsb", "--n", "2"], ["compositions", "--n", "2"],
+                 ["complete", "--n", "2"], ["nf", "--n", "3", "--word", "g1"]):
+        assert main(argv + ["--fuel", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--fuel" in captured.err
+
+
+def test_empty_leading_word_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the file format cannot state a nonzero constant: '1' never leads
+    path = _write(tmp_path, "letters: x\norder: deglex\n1 = x\n")
+    for cmd in ("verify-gsb", "compositions", "complete"):
+        assert main([cmd, "--presentation", path]) == 2
+    assert "not order-leading" in capsys.readouterr().err
+    # a constant relation built in the library: {x x - x, 2}
+    S = parse_presentation("letters: x\norder: deglex\nx . x = x\n")
+    const = Presentation(S.alphabet, S.order, list(S.relations)
+                         + [Polynomial.from_word(S.alphabet.empty_word(), 2)])
+    monkeypatch.setattr(cli, "parse_presentation", lambda text: const)
+    for cmd in ("verify-gsb", "compositions", "complete"):
+        assert main([cmd, "--presentation", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "relation 1 has an empty leading word" in captured.err
 
 
 def test_verify_and_compositions_agree_under_low_fuel(tmp_path, capsys):

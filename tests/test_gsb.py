@@ -226,6 +226,34 @@ def test_verification_scope_rejects_unknown_families():
     assert (report.pairs_checked, report.ambiguities_checked) == (16, 0) and report.ok
 
 
+def test_verification_scope_rejects_entries_that_are_not_label_pairs():
+    for scope in ([("16",)], [("16", "2", "17")], [("16", 2)], [["16", "2"]], "16,2"):
+        with pytest.raises(ValueError, match="label pairs"):
+            verify_gsb(S3, scope=scope)
+
+
+def _with_constant():
+    """The deglex presentation {x x - x, 2}: relation 1 is a nonzero constant."""
+    ab, order = _toy("x")
+    return Presentation(ab, order, [Polynomial.from_word(ab.word("x x"))
+                                    - Polynomial.from_word(ab.word("x")),
+                                    Polynomial.from_word(ab.empty_word(), 2)])
+
+
+def test_empty_leading_word_is_rejected_before_checking():
+    S = _with_constant()
+    for run in (verify_gsb, complete):
+        with pytest.raises(ValueError, match="relation 1 has an empty leading word"):
+            run(S)
+
+
+def test_negative_fuel_is_rejected():
+    for run in (verify_gsb, complete):
+        with pytest.raises(ValueError, match="fuel"):
+            run(S3, fuel=-1)
+    assert verify_gsb(S3, fuel=0).ambiguities_checked == 73  # fuel 0 stays valid
+
+
 def test_verification_rejects_fewer_than_one_job():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):

@@ -295,6 +295,19 @@ def test_word_nf_rejects_non_binomial_presentations():
         word_nf(ab.word("x x"), S)
 
 
+def test_negative_fuel_is_rejected():
+    w = W3("g1^-1 s13")
+    with pytest.raises(ValueError, match="fuel"):
+        normal_form(Polynomial.from_word(w), S3, fuel=-1)
+    for strat in STRATEGIES:
+        with pytest.raises(ValueError, match="fuel"):
+            word_nf(w, S3, fuel=-5, strategy=strat)
+        with pytest.raises(ValueError, match="fuel"):
+            braid_nf((1, 2), 3, fuel=-1, strategy=strat)
+    # fuel 0 stays valid: an irreducible word needs no step
+    assert word_nf(W3("s13"), S3, fuel=0) == W3("s13")
+
+
 def test_word_nf_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         word_nf(W3("s12"), S3, strategy="sideways")
