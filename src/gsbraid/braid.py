@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 from .freealg import Alphabet, Letter, Word
 from .oracles import ArtinWord, _check_index
 from .orders import DegInLex, OrderSpec, Tower, ranking_of
-from .reduction import DEFAULT_FUEL, Presentation, word_nf
+from .reduction import DEFAULT_FUEL, DEFAULT_STRATEGY, Presentation, word_nf
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ def braid_scheme(n: int) -> BraidScheme:
     alphabet = Alphabet(letters)
     order: OrderSpec = DegInLex(ranking_of(blocks.get(n, [])))
     for j in range(n - 1, 1, -1):
-        order = Tower(order, ranking_of(blocks[j]), z_level=j)
+        order = Tower(order, ranking_of(blocks[j]))
     if n >= 2:
-        order = Tower(order, ranking_of(sigma_block), z_level=1)
+        order = Tower(order, ranking_of(sigma_block))
     text = "deginlex" if n < 2 else (
         "tower(deginlex(S%d)%s, sigma)" % (n, "".join(f", S{j}" for j in range(n - 1, 1, -1))))
     return BraidScheme(
@@ -255,17 +255,19 @@ def s_to_artin(w: Word, scheme: BraidScheme) -> tuple[int, ...]:
     return tuple(out)
 
 
-def braid_nf(w: ArtinWord, n: int, fuel: int = DEFAULT_FUEL, strategy: str = "rightmost") -> Word:
+def braid_nf(w: ArtinWord, n: int, fuel: int = DEFAULT_FUEL,
+             strategy: str = DEFAULT_STRATEGY) -> Word:
     """Normal form of an Artin word in the scheme letters; unique per group element.
 
     Equals word_nf of the converted word under any rewrite strategy; the
-    default is the passage-coherent rightmost scheduler.  Its path length
-    is not near-linear in general: it takes 28,581 steps on the B_3 power
-    (sigma_1 sigma_2^-1)^64, where leftmost takes 483, and exhausts the
-    default fuel on the B_4 power (sigma_2 sigma_1^-1 sigma_3^-1 sigma_2)^10,
-    where leftmost takes 55,026; on random words neither schedule always
-    wins.  The flat canonical schedule can need astronomically many steps
-    on inputs of a few dozen crossings.
+    default, the same as word_nf's, is the passage-coherent rightmost
+    scheduler.  Its path length is not near-linear in general: it takes
+    28,581 steps on the B_3 power (sigma_1 sigma_2^-1)^64, where leftmost
+    takes 483, and exhausts the default fuel on the B_4 power
+    (sigma_2 sigma_1^-1 sigma_3^-1 sigma_2)^10, where leftmost takes
+    55,026; on random words neither schedule always wins.  The flat
+    canonical schedule can need astronomically many steps on inputs of a
+    few dozen crossings.
     """
     if n < 2:
         raise ValueError("braid normal forms need n >= 2")

@@ -42,12 +42,12 @@ from typing import Optional, Sequence
 
 from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
-from .gsb import (Diverged, EmptyLeadingWord, _check_row, _failure,
-                  _require_nonempty_leads, _rows, _scope_set, enumerate_irr,
-                  verify_gsb)
+from .gsb import (Diverged, EmptyLeadingWord, InconsistentAmbiguity, _check_row,
+                  _failure, _require_nonempty_leads, _rows, _scope_set,
+                  enumerate_irr, verify_gsb)
 from .orders import DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
-from .reduction import (DEFAULT_FUEL, FuelExhausted, NotBinomial,
-                        OrientationError, Presentation, ZeroPolynomial,
+from .reduction import (_STRATEGIES, DEFAULT_FUEL, DEFAULT_STRATEGY, FuelExhausted,
+                        NotBinomial, OrientationError, Presentation, ZeroPolynomial,
                         format_polynomial, word_nf)
 
 
@@ -130,10 +130,8 @@ def _parse_order_text(text: str, line: int, alphabet: Alphabet) -> OrderSpec:
             resolved = [group_ids(gname) for gname in groups]
             claimed = set().union(*[set(r) for r in resolved])
             spec = bind(inner, taken | claimed)
-            for gname, ids in zip(groups, resolved):
-                levels = {alphabet.levels[i] for i in ids}
-                spec = Tower(spec, ranking_of(sorted(ids)),
-                             z_level=levels.pop() if len(levels) == 1 else 0)
+            for ids in resolved:
+                spec = Tower(spec, ranking_of(sorted(ids)))
             return spec
         head, gname = node
         if gname is None:
@@ -258,24 +256,45 @@ def dump_presentation(S: Presentation, title: Optional[str] = None) -> str:
 
 
 def _format_order(spec: OrderSpec, alphabet: Alphabet) -> str:
-    def group_name(ids) -> str:
-        levels = {alphabet.levels[i] for i in ids}
-        if len(levels) == 1:
-            lv = levels.pop()
-            return "sigma" if lv == 1 else f"S{lv}"
-        return "all"
+    """The order-spec text that parses back to spec; ValueError if the
+    grammar cannot spell it.  A base covering exactly the letters that no
+    enclosing tower claims prints without a group, unless a tower encloses
+    it and one level names it (as braid_scheme writes it)."""
+    def ascending(ranking) -> list[int]:
+        ids = sorted(ranking)
+        if dict(ranking) != ranking_of(ids):
+            raise ValueError("order text can only rank letters ascending by id")
+        return ids
 
-    if isinstance(spec, Tower):
-        groups = []
-        node = spec
-        while isinstance(node, Tower):
-            groups.append(group_name(node.z_ranking))
-            node = node.y_order
-        return f"tower({_format_order(node, alphabet)}, " + ", ".join(reversed(groups)) + ")"
-    name = {DegLex: "deglex", InLex: "inlex", DegInLex: "deginlex"}[type(spec)]
-    if set(spec.ranking) == set(range(len(alphabet))):
-        return name
-    return f"{name}({group_name(spec.ranking)})"
+    def level_group(ids: list[int]) -> Optional[str]:
+        levels = {alphabet.levels[i] for i in ids}
+        if len(levels) != 1:
+            return None
+        lv = levels.pop()
+        if lv < 0 or ids != [i for i, x in enumerate(alphabet.levels) if x == lv]:
+            return None
+        return "sigma" if lv == 1 else f"S{lv}"
+
+    everything = list(range(len(alphabet)))
+    groups: list[str] = []
+    taken: set[int] = set()
+    while isinstance(spec, Tower):
+        ids = ascending(spec.z_ranking)
+        group = level_group(ids) or ("all" if ids == everything else None)
+        if group is None:
+            raise ValueError(f"no letter group names the tower letters {ids}")
+        groups.append(group)
+        taken.update(ids)
+        spec = spec.y_order
+    text = {DegLex: "deglex", InLex: "inlex", DegInLex: "deginlex"}[type(spec)]
+    ids = ascending(spec.ranking)
+    group = level_group(ids)
+    unclaimed = ids == [i for i in everything if i not in taken]
+    if group is None and not unclaimed:
+        raise ValueError(f"no letter group names the base order's letters {ids}")
+    if group is not None and (groups or not unclaimed):
+        text = f"{text}({group})"
+    return f"tower({text}, {', '.join(reversed(groups))})" if groups else text
 
 
 def _json_out(payload: dict) -> None:
@@ -489,8 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
         if word:
             p.add_argument("--word", required=True, help="whitespace-separated letters")
-            p.add_argument("--strategy", default="rightmost",
-                           choices=("canonical", "leftmost", "rightmost"),
+            p.add_argument("--strategy", default=DEFAULT_STRATEGY, choices=tuple(_STRATEGIES),
                            help="rewriting schedule; no schedule is fastest on every "
                                 "word, and canonical can need exponentially many steps")
         if max_len:
@@ -531,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, OrientationError, NotBinomial, ZeroPolynomial, EmptyLeadingWord,
-            OSError) as e:
+            InconsistentAmbiguity, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FuelExhausted as e:

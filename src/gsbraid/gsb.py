@@ -35,7 +35,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .freealg import Polynomial, Word
-from .orders import LESS, OrderSpec, compare_ids
+from .orders import GREATER, LESS, OrderSpec, compare_ids
 from .reduction import (DEFAULT_FUEL, FuelExhausted, Presentation,
                         ReductionStep, ReductionTrace, _check_fuel, _decode,
                         _encode, _find_site, format_polynomial, leading,
@@ -191,9 +191,7 @@ def check_trivial(f: Polynomial, g: Polynomial, amb: Ambiguity, S: Presentation,
     comp = composition(f, g, amb, S.order)
     if comp.is_zero():
         return True, ReductionTrace([], comp, 0)
-    lead, _ = leading(comp, S.order)
-    if compare_ids(S.order, lead.letters, amb.w.letters) != LESS:
-        raise InconsistentAmbiguity(f"composition leading word {lead} is not below w = {amb.w}")
+    _require_below_w(S, leading(comp, S.order)[0].letters, amb)
     if S._rules is not None and sorted(comp.terms.values()) == [Fraction(-1), Fraction(1)]:
         (pos_t,) = (t for t, c in comp.terms.items() if c == 1)
         (neg_t,) = (t for t, c in comp.terms.items() if c == -1)
@@ -210,6 +208,13 @@ def check_trivial(f: Polynomial, g: Polynomial, amb: Ambiguity, S: Presentation,
         return su == sv, ReductionTrace(steps, result, used)
     nf, trace = normal_form(comp, S, fuel)
     return nf.is_zero(), trace
+
+
+def _require_below_w(S: Presentation, lead: tuple[int, ...], amb: Ambiguity) -> None:
+    """The leading word of a composition must lie below its ambiguity's w."""
+    if compare_ids(S.order, lead, amb.w.letters) != LESS:
+        raise InconsistentAmbiguity(f"composition leading word {Word(S.alphabet, lead)}"
+                                    f" is not below w = {amb.w}")
 
 
 def _branch_nfs(S: Presentation, u: str, v: str, fuel: int,
@@ -265,6 +270,9 @@ def _verdict(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[str]:
     On binomial presentations the verdict comes from the two branch words
     of the composition, built from the stored tails: identical words are a
     zero composition, and otherwise both are rewritten as in check_trivial.
+    Like check_trivial it raises InconsistentAmbiguity when the larger
+    branch word is not below w; only a non-monomial order (InLex at the
+    base) allows that, so only then is it checked.
     """
     i, j = amb.left_rel, amb.right_rel
     tails = S._tails
@@ -279,6 +287,8 @@ def _verdict(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[str]:
                 u, v = a + tails[j] + b, tails[i]
             if u == v:
                 return None
+            if not S._monomial:
+                _require_below_w(S, u if compare_ids(S.order, u, v) == GREATER else v, amb)
             nu, nv, _ = _branch_nfs(S, _encode(u), _encode(v), fuel)
             ok = nu == nv
     except FuelExhausted:
@@ -389,7 +399,7 @@ def verify_minimal(S: Presentation) -> MinimalityReport:
         for t in rel.terms:
             if t == S._lead[i]:
                 continue
-            site = _find_site(_encode(t), S, skip=i)
+            site = _find_site(_encode(t), S._lead_s, skip=i)
             if site is not None:
                 reducible.append((i, Word(S.alphabet, t), site[0]))
     return MinimalityReport(ok=not containments and not reducible,
@@ -404,9 +414,11 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
     New relations are appended in normal form with respect to the current
     system (so their leading words are fresh) and labeled c1, c2, ...;
     earlier relations are never rewritten.  Raises Diverged when more than
-    max_new additions would be needed.  ``fuel`` (at least 0) bounds each
-    reduction; a relation of S with an empty leading word (a nonzero
-    constant) raises EmptyLeadingWord, a ValueError.
+    max_new additions would be needed.  When a composition reduces to a
+    nonzero constant, the relation 1 is appended and completion stops: every
+    word then reduces to 0.  ``fuel`` (at least 0) bounds each reduction; a
+    relation of S with an empty leading word (a nonzero constant) raises
+    EmptyLeadingWord, a ValueError.
     """
     _require_nonempty_leads(S)
     _check_fuel(fuel)
@@ -433,6 +445,10 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
                                list(cur.families) + [f"c{len(log) + 1}"],
                                order_text=cur.order_text)
             log.append(CompletionEvent(i, j, amb, added, new_index))
+            if not cur._lead[new_index]:
+                # the constant 1: every word now reduces to 0, so every
+                # remaining composition is trivial
+                return cur, log
             for k in range(new_index):
                 queue.append((k, new_index))
                 queue.append((new_index, k))
@@ -441,8 +457,13 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
 
 
 def enumerate_irr(S: Presentation, max_len: int) -> list[Word]:
-    """All words of length <= max_len avoiding every leading word, order-ascending."""
+    """All words of length <= max_len avoiding every leading word, order-ascending.
+
+    An empty leading word (a nonzero constant) occurs in every word, so
+    then there are none."""
     lead_set = S._lead_set
+    if () in lead_set:
+        return []
     max_lead = S._max_lead
     alphabet_size = len(S.alphabet)
     frontier: list[tuple[int, ...]] = [()]

@@ -57,7 +57,6 @@ class DegInLex:
 class Tower:
     y_order: "OrderSpec"
     z_ranking: Mapping[int, int]
-    z_level: int = 0
 
     def __post_init__(self):
         overlap = set(self.z_ranking) & domain(self.y_order)
@@ -96,6 +95,18 @@ def domain(spec: OrderSpec) -> frozenset[int]:
     if isinstance(spec, Tower):
         return domain(spec.y_order) | frozenset(spec.z_ranking)
     return frozenset(spec.ranking)
+
+
+def _is_monomial(spec: OrderSpec) -> bool:
+    """Whether u < v implies a.u.b < a.v.b for all words a, b.
+
+    DegLex, DegInLex and towers over them are monomial.  InLex is not once
+    it has two letters (with y < x: 1 < y but x > x.y), and neither is a
+    tower over it; both answer False here.
+    """
+    while isinstance(spec, Tower):
+        spec = spec.y_order
+    return not isinstance(spec, InLex)
 
 
 def _split(letters: tuple[int, ...], z_ranking: Mapping[int, int]):

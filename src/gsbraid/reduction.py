@@ -14,10 +14,11 @@ fast path, ``word_nf``, that rewrites plain words.  Internally words are
 encoded as strings of one character per letter id so that substring search
 runs at C speed.
 
-``word_nf`` offers three site-selection strategies.  All three return the
-same word whenever the relation set is closed under composition (the
-result is then the unique irreducible representative); they differ only in
-the rewrite path taken, and the path lengths can differ enormously:
+``word_nf`` offers three site-selection strategies (``rightmost`` is the
+default).  All three return the same word whenever the relation set is
+closed under composition (the result is then the unique irreducible
+representative); they differ only in which site they rewrite next, and the
+path lengths can differ enormously:
 
 * ``canonical`` mirrors ``reduce_once`` on a one-term polynomial exactly:
   lowest relation index first, then leftmost occurrence.  Simple and
@@ -43,12 +44,11 @@ wins on every word (``bench/seed_results.json``): on the B_3 power
 exhausts the default fuel of 10^6 steps where leftmost takes 55,026; and
 on random words either one can be the faster.
 
-Both passage-coherent schedules run on ``_WordEngine``, which finds sites
-with a trie over the encoded leading words, built once per presentation,
-and never scans the clean suffix of the word: the positions right of the
-last global pick, shifted along by each rewrite, where no leading word
-starts.  ``canonical`` keeps its ``str.find`` over the leading words in
-index order.
+All three run through the one rewrite loop of ``_WordEngine.run`` and
+differ only in the site they pick.  The passage-coherent schedules find
+sites with a trie over the encoded leading words, built once per
+presentation; ``canonical`` uses ``_find_site``, a ``str.find`` over the
+leading words in index order, as ``reduce_once`` and ``verify_minimal`` do.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .freealg import Alphabet, Polynomial, Word, _join_terms
-from .orders import GREATER, LESS, OrderSpec, compare, compare_ids
+from .orders import GREATER, LESS, OrderSpec, _is_monomial, compare, compare_ids
 
 
 class ZeroPolynomial(ValueError):
@@ -161,7 +161,7 @@ class Presentation:
 
     __slots__ = ("alphabet", "order", "relations", "families", "order_text",
                  "_lead", "_lead_s", "_lead_set", "_max_lead", "_tails", "_rules",
-                 "_word_eng")
+                 "_word_eng", "_monomial")
 
     def __init__(self, alphabet: Alphabet, order: OrderSpec,
                  relations: Iterable[Polynomial], families: Optional[Sequence[str]] = None,
@@ -186,6 +186,7 @@ class Presentation:
             raise ValueError("families must align with relations")
         self.families: tuple[str, ...] = families
         self.order_text = order_text
+        self._monomial = _is_monomial(order)
         self._lead = tuple(leads)
         self._lead_s = tuple(map(_encode, leads))
         self._lead_set = frozenset(leads)
@@ -253,10 +254,10 @@ class Presentation:
         self.__init__(*state)
 
 
-def _find_site(s: str, S: Presentation, skip: int = -1) -> Optional[tuple[int, int]]:
-    """Lowest relation index (other than ``skip``), then leftmost position, of a
-    leading-word occurrence in the encoded word s."""
-    for idx, lhs in enumerate(S._lead_s):
+def _find_site(s: str, leads: Sequence[str], skip: int = -1) -> Optional[tuple[int, int]]:
+    """Lowest relation index (other than ``skip``), then leftmost position, of an
+    occurrence of one of the encoded leading words ``leads`` in the encoded word s."""
+    for idx, lhs in enumerate(leads):
         if idx != skip:
             p = s.find(lhs)
             if p >= 0:
@@ -270,7 +271,7 @@ def reduce_once(p: Polynomial, S: Presentation,
     best: Optional[tuple[int, ...]] = None
     site: Optional[tuple[int, int]] = None
     for t in p.terms:
-        s = _find_site(_encode(t), S)
+        s = _find_site(_encode(t), S._lead_s)
         if s is None:
             continue
         if best is None or compare_ids(S.order, t, best) == GREATER:
@@ -315,37 +316,25 @@ def normal_form(p: Polynomial, S: Presentation, fuel: int = DEFAULT_FUEL,
         used += 1
 
 
-def _rewrite_canonical(s: str, S: Presentation, fuel: int) -> tuple[str, int]:
-    """Flat schedule: lowest rule index, then leftmost occurrence (reduce_once mirror)."""
-    used = 0
-    while True:
-        site = _find_site(s, S)
-        if site is None:
-            return s, used
-        if used >= fuel:
-            raise FuelExhausted(used, partial=s)
-        idx, p = site
-        lhs, rhs = S._rules[idx]
-        s = s[:p] + rhs + s[p + len(lhs):]
-        used += 1
-
-
 # An emitted rewrite: (rule index, position, text left of the site, text right of it).
 _Emit = list  # list[tuple[int, int, str, str]]
 
 
 class _WordEngine:
-    """Passage-coherent word rewriting over encoded binomial rules.
+    """Word rewriting over encoded binomial rules: one loop, two site policies.
 
-    The scheduler keeps an *active region* around the last rewrite (the
-    rewritten span padded by the longest left-hand side).  Inside the
-    region, length-decreasing rules are applied leftmost-first (they close
-    off cancellations as soon as they appear) and the remaining rules
-    rightmost-first (they continue the passage of a letter travelling
-    through the word).  Only when the region has no reducible site does the
-    engine look for the rightmost site of the whole word.  This keeps each
-    rewriting passage coherent instead of interleaving passages, which is
-    what makes flat schedules blow up on shuttle-style relation systems.
+    ``run(..., canonical=True)`` is the flat canonical schedule: the lowest
+    rule index, then the leftmost position, found by ``_find_site``.
+    Otherwise the scheduler is passage-coherent: it keeps an *active
+    region* around the last rewrite (the rewritten span padded by the
+    longest left-hand side).  Inside the region, length-decreasing rules
+    are applied leftmost-first (they close off cancellations as soon as
+    they appear) and the remaining rules rightmost-first (they continue the
+    passage of a letter travelling through the word).  Only when the region
+    has no reducible site does the engine look for the rightmost site of
+    the whole word.  This keeps each rewriting passage coherent instead of
+    interleaving passages, which is what makes flat schedules blow up on
+    shuttle-style relation systems.
 
     Sites are found with a trie over the left-hand sides, built once per
     presentation.  A node is a dict from letter to child; under the key
@@ -362,16 +351,19 @@ class _WordEngine:
     each rewrite; both scans stop at it.
     """
 
-    __slots__ = ("trie", "max_lhs")
+    __slots__ = ("trie", "max_lhs", "leads", "rules")
 
     def __init__(self, rules: Sequence[tuple[str, str]]):
         self.max_lhs = max((len(lhs) for lhs, _ in rules), default=1)
+        self.leads = tuple(lhs for lhs, _ in rules)
+        self.rules = tuple((idx, lhs, rhs, len(rhs) < len(lhs))
+                           for idx, (lhs, rhs) in enumerate(rules))
         root: dict = {}
-        for idx, (lhs, rhs) in enumerate(rules):
+        for rule in self.rules:
             node = root
-            for ch in lhs:
+            for ch in rule[1]:
                 node = node.setdefault(ch, {})
-            node.setdefault("", (idx, lhs, rhs, len(rhs) < len(lhs)))
+            node.setdefault("", rule)
 
         def build(node: dict, best: Optional[tuple]) -> tuple[object, int]:
             """(compiled node, lowest rule index below it); a node whose
@@ -417,19 +409,24 @@ class _WordEngine:
         return other
 
     def run(self, s: str, fuel: int, used: int = 0,
-            emit: Optional[_Emit] = None) -> tuple[str, int]:
+            emit: Optional[_Emit] = None, canonical: bool = False) -> tuple[str, int]:
         """Rewrite to a fixpoint; returns (irreducible word, total steps used)."""
         region = range(0)
         clean = len(s)  # no left-hand side starts at or after this position
         while True:
-            # the region ascending (leftmost shrinking, else rightmost match),
-            # then the whole word descending (rightmost match)
-            hit = self._pick(s, region, True)
-            if hit is None:
-                hit = self._pick(s, range(clean - 1, -1, -1), False)
+            if canonical:
+                site = _find_site(s, self.leads)
+                hit = None if site is None else (site[1], self.rules[site[0]])
+            else:
+                # the region ascending (leftmost shrinking, else rightmost
+                # match), then the whole word descending (rightmost match)
+                hit = self._pick(s, region, True)
                 if hit is None:
-                    return s, used
-                clean = hit[0] + 1
+                    hit = self._pick(s, range(clean - 1, -1, -1), False)
+                    if hit is not None:
+                        clean = hit[0] + 1
+            if hit is None:
+                return s, used
             if used >= fuel:
                 raise FuelExhausted(used, partial=s)
             p, (idx, lhs, rhs, _) = hit
@@ -453,30 +450,32 @@ class _WordEngine:
         return acc, used
 
 
-_STRATEGIES = ("canonical", "leftmost", "rightmost")
+# The schedules by name: (engine, encoded word, fuel) -> (word, steps used).
+_STRATEGIES = {
+    "canonical": functools.partial(_WordEngine.run, canonical=True),
+    "leftmost": _WordEngine.run_prefix,
+    "rightmost": _WordEngine.run,
+}
+DEFAULT_STRATEGY = "rightmost"
 
 
-def word_nf(w: Word, S: Presentation, fuel: int = DEFAULT_FUEL, strategy: str = "canonical") -> Word:
+def word_nf(w: Word, S: Presentation, fuel: int = DEFAULT_FUEL,
+            strategy: str = DEFAULT_STRATEGY) -> Word:
     """Normal form of a single word by pure string rewriting.
 
     Equals the unique term word of normal_form on the one-term polynomial w.
     Requires every relation of S to be binomial u - v.  ``strategy`` picks
-    the rewrite schedule (see the module docstring); all schedules agree on
-    the result when the relation set is closed under composition.  ``fuel``
-    (at least 0) bounds the number of rewrite steps.
+    the rewrite schedule, ``rightmost`` by default (see the module
+    docstring); all schedules agree on the result when the relation set is
+    closed under composition.  ``fuel`` (at least 0) bounds the number of
+    rewrite steps.
     """
     _check_fuel(fuel)
-    if S._rules is None:
-        raise NotBinomial("presentation has a relation that is not of the form u - v")
+    eng = S._engine()
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {tuple(_STRATEGIES)}")
     try:
-        if strategy == "canonical":
-            s, _ = _rewrite_canonical(_encode(w.letters), S, fuel)
-        elif strategy == "rightmost":
-            s, _ = S._engine().run(_encode(w.letters), fuel)
-        elif strategy == "leftmost":
-            s, _ = S._engine().run_prefix(_encode(w.letters), fuel)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}")
+        s, _ = _STRATEGIES[strategy](eng, _encode(w.letters), fuel)
     except FuelExhausted as e:
         raise FuelExhausted(e.fuel_used, partial=Word(S.alphabet, _decode(e.partial))) from None
     return Word(S.alphabet, _decode(s))

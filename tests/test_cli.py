@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsbraid import cli
-from gsbraid.braid import artin_markov
+from gsbraid.braid import artin_markov, braid_scheme
 from gsbraid.cli import ParseError, dump_presentation, main, parse_presentation
-from gsbraid.freealg import Polynomial
+from gsbraid.freealg import Alphabet, Letter, Polynomial
+from gsbraid.orders import DegInLex, DegLex, InLex, Tower, compare, ranking_of
 from gsbraid.reduction import Presentation
 
 TOY = """\
@@ -111,6 +114,69 @@ def test_dump_header_clauses():
     assert text.count("=") - text.count("level(") == 5  # one '=' per relation
 
 
+def test_order_text_of_braid_schemes_matches_their_own():
+    for n in range(1, 9):
+        scheme = braid_scheme(n)
+        assert cli._format_order(scheme.order, scheme.alphabet) == scheme.order_text
+
+
+def test_order_text_of_a_tower_over_a_two_level_base():
+    ab = Alphabet([Letter("a"), Letter("b", level=2), Letter("c", level=1)])
+    order = Tower(DegLex(ranking_of([0, 1])), ranking_of([2]))
+    S = Presentation.from_oriented(ab, order, [(ab.word("c a"), ab.word("a c"))])
+    text = dump_presentation(S)
+    assert "order: tower(deglex, sigma)\n" in text
+    assert parse_presentation(text) == S
+
+
+def test_order_text_refuses_what_the_grammar_cannot_spell():
+    ab = Alphabet([Letter("a"), Letter("b"), Letter("c", level=1)])
+    unspellable = [
+        DegLex({0: 1, 1: 0, 2: 2}),                             # not ascending by id
+        Tower(DegLex(ranking_of([0, 2])), ranking_of([1])),    # no group is {b}
+        DegLex(ranking_of([0])),                                # b and c are left out
+    ]
+    for order in unspellable:
+        with pytest.raises(ValueError):
+            cli._format_order(order, ab)
+
+
+_BASES = [DegLex, InLex, DegInLex]
+
+
+@st.composite
+def _hand_built(draw) -> Presentation:
+    """A binomial presentation built in code, with an order the grammar spells:
+    towers over whole levels, innermost first, and a base over the rest."""
+    size = draw(st.integers(1, 5))
+    levels = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    names = [f"x{i}" for i in range(size)]
+    inverse = [None] * size
+    if size >= 2 and draw(st.booleans()):
+        inverse[0], inverse[1] = names[1], names[0]
+    ab = Alphabet([Letter(nm, level=lv, inverse=inv)
+                   for nm, lv, inv in zip(names, levels, inverse)])
+    tower = draw(st.lists(st.sampled_from(sorted(set(levels))), unique=True))
+    in_tower = [i for i in range(size) if levels[i] in tower]
+    order = draw(st.sampled_from(_BASES))(ranking_of(i for i in range(size) if i not in in_tower))
+    for lv in tower:
+        order = Tower(order, ranking_of(i for i in range(size) if levels[i] == lv))
+    words = st.lists(st.sampled_from(names), max_size=4).map(ab.word)
+    pairs = []
+    for u, v in draw(st.lists(st.tuples(words, words), max_size=5)):
+        c = compare(order, u, v)
+        if c:
+            pairs.append((u, v) if c > 0 else (v, u))
+    return Presentation.from_oriented(ab, order, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hand_built())
+def test_dump_parse_round_trip_on_hand_built_presentations(S):
+    assert S.order_text is None
+    assert parse_presentation(dump_presentation(S)) == S
+
+
 def test_dump_requires_binomial():
     from gsbraid.freealg import Alphabet, Letter, Polynomial
     from gsbraid.orders import DegLex, ranking_of
@@ -202,6 +268,17 @@ def test_empty_leading_word_is_a_usage_error(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "relation 1 has an empty leading word" in captured.err
+
+
+def test_composition_not_below_w_is_a_usage_error(tmp_path, capsys):
+    # inlex is not monomial: the branch word x of the inclusion of y = 1 in
+    # x . y = x . y . y lies above w = x y
+    path = _write(tmp_path, "letters: x > y; order: inlex; y = 1; x . y = x . y . y\n")
+    for cmd in ("verify-gsb", "compositions"):
+        assert main([cmd, "--presentation", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: composition leading word x is not below w = x y\n"
 
 
 def test_verify_and_compositions_agree_under_low_fuel(tmp_path, capsys):

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsbraid import gsb
 from gsbraid.braid import artin_markov, braid_scheme
@@ -19,8 +26,8 @@ from gsbraid.gsb import (
     verify_gsb,
     verify_minimal,
 )
-from gsbraid.orders import DegLex, ranking_of
-from gsbraid.reduction import FuelExhausted, Presentation
+from gsbraid.orders import GREATER, DegInLex, DegLex, InLex, Tower, compare, ranking_of
+from gsbraid.reduction import FuelExhausted, Presentation, normal_form
 
 S3 = artin_markov(3)
 SCH3 = braid_scheme(3)
@@ -293,6 +300,70 @@ def test_verification_jobs_are_capped_by_cpus_and_rows(monkeypatch):
     assert started == [4, 2]  # an unknown CPU count runs serially
 
 
+def test_verification_under_the_spawn_start_method(monkeypatch):
+    # spawn (the default on macOS and Windows, and on Linux from Python
+    # 3.14) pickles the presentation into every worker
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(gsb, "ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(gsb.os, "cpu_count", lambda: 2)
+    S = artin_markov(4)
+    assert verify_gsb(S, jobs=2) == verify_gsb(S)
+
+
+# x . y = x . y . y is oriented under inlex (y < x), but the inclusion of
+# y = 1 in it gives the branch word x, which inlex puts above w = x y
+NOT_BELOW_W = (("y", ""), ("x y", "x y y"))
+
+
+def test_verification_raises_where_check_trivial_does():
+    ab, _ = _toy("y x")
+    S = _binomial(ab, InLex(ranking_of(range(2))), *NOT_BELOW_W)
+    (amb,) = enumerate_ambiguities(S.lead(1), S.lead(0), 1, 0)
+    with pytest.raises(InconsistentAmbiguity, match="x is not below w = x y"):
+        check_trivial(S.relations[1], S.relations[0], amb, S)
+    with pytest.raises(InconsistentAmbiguity, match="x is not below w = x y"):
+        verify_gsb(S)
+
+
+_ORDERS = [DegLex(ranking_of(range(3))), InLex(ranking_of(range(3))),
+           DegInLex(ranking_of(range(3))),
+           Tower(InLex(ranking_of(range(2))), ranking_of([2])),
+           Tower(DegInLex(ranking_of(range(2))), ranking_of([2]))]
+
+
+def _descent_error(check) -> Optional[str]:
+    try:
+        check()
+    except InconsistentAmbiguity as e:
+        return str(e)
+    except FuelExhausted:
+        pass
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ORDERS),
+       st.lists(st.tuples(st.lists(st.sampled_from("abc"), max_size=3),
+                          st.lists(st.sampled_from("abc"), max_size=3)), min_size=1, max_size=4))
+def test_binomial_verdict_raises_exactly_when_check_trivial_does(order, pairs):
+    ab, _ = _toy("a b c")
+    oriented = []
+    for u, v in pairs:
+        u, v = ab.word(u), ab.word(v)
+        c = compare(order, u, v)
+        if c:
+            oriented.append((u, v) if c == GREATER else (v, u))
+    S = Presentation.from_oriented(ab, order, oriented)
+    # fuel 50: inlex is not well-founded, so rewriting need not stop
+    for i in range(len(S)):
+        for j in range(len(S)):
+            for amb in enumerate_ambiguities(S.lead(i), S.lead(j), i, j):
+                f, g = S.relations[i], S.relations[j]
+                assert (_descent_error(lambda: check_trivial(f, g, amb, S, 50))
+                        == _descent_error(lambda: gsb._verdict(S, amb, 50)))
+
+
 def test_verification_flags_missing_commutation_family():
     keep = [i for i in range(len(S3.relations)) if S3.families[i] != "2"]
     crippled = Presentation(S3.alphabet, S3.order,
@@ -378,7 +449,26 @@ def test_completion_divergence_reports_partial_progress():
     assert len(leads) == 6
 
 
+def test_completion_stops_at_a_constant():
+    # the inclusion of x in x x gives (x x - x) - (x - 2) x = x, which reduces to 2
+    ab, order = _toy("x")
+    x = Polynomial.from_word(ab.word("x"))
+    S = Presentation(ab, order, [x.right_mul(ab.word("x")) - x,
+                                 x - Polynomial.from_word(ab.empty_word(), 2)])
+    done, log = complete(S)
+    one = Polynomial.from_word(ab.empty_word())
+    assert [(ev.index, ev.added) for ev in log] == [(2, one)]
+    assert done.relations[2] == one and done.families[2] == "c1"
+    assert normal_form(x, done)[0].is_zero()
+
+
 # --- enumerate_irr --------------------------------------------------------
+
+def test_irreducible_words_under_a_constant_relation():
+    S = _with_constant()
+    assert enumerate_irr(S, 3) == []
+    assert normal_form(Polynomial.from_word(S.alphabet.word("x")), S)[0].is_zero()
+
 
 def test_irreducible_words_up_to_length_one():
     words = enumerate_irr(S3, 1)

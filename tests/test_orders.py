@@ -24,6 +24,7 @@ from gsbraid import (
     ranking_of,
 )
 from gsbraid.braid import braid_scheme
+from gsbraid.orders import _is_monomial
 
 
 def flat(names: str) -> Alphabet:
@@ -229,3 +230,15 @@ def test_monomial_property_randomized():
     for _ in range(2000):
         u, v, a, b = (rand_word(rng, sch.alphabet, max_len=5) for _ in range(4))
         assert is_monomial_witness(sch.order, u, v, a, b)
+
+
+def test_inlex_and_towers_over_it_are_not_monomial():
+    ab = flat("y x")
+    r = ranking_of(range(2))
+    one, y, x = ab.word(""), ab.word("y"), ab.word("x")
+    assert not is_monomial_witness(InLex(r), one, y, x, one)
+    assert not _is_monomial(InLex(r))
+    assert not _is_monomial(Tower(InLex(ranking_of([0])), ranking_of([1])))
+    for spec in (DegLex(r), DegInLex(r), Tower(DegInLex(ranking_of([0])), ranking_of([1])),
+                 braid_scheme(4).order):
+        assert _is_monomial(spec)
