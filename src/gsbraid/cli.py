@@ -3,7 +3,9 @@
 Subcommands: verify-gsb, nf, compositions, complete, irr,
 dump-presentation.  A presentation comes either from --n (the braid
 system for n strands) or from --presentation FILE; the two are mutually
-exclusive.
+exclusive.  --order goes with --presentation only: it replaces the file's
+order before any relation is checked for orientation.  --n must be at
+least 2, --jobs at least 1, and --fuel, --max-len and --max-new at least 0.
 
 Presentation file grammar (clauses separated by newlines or ';', comments
 start with '#'):
@@ -23,10 +25,11 @@ enclosing tower.  Tower groups are listed innermost first, so the braid
 scheme order reads ``tower(deginlex(S3), S2, sigma)``.
 
 Exit codes: 0 success; 1 verification failure (a nontrivial composition,
-or completion diverged); 2 parse or usage error (including a negative
---fuel, or a relation with an empty leading word in verify-gsb,
-compositions and complete); 3 fuel exhausted (every reported failure ran
-out of fuel, or nf/complete hit the fuel bound).
+or completion diverged); 2 parse or usage error (every input error: a
+malformed option, file or word, or input the library rejects, such as a
+relation that is not order-leading or has an empty leading word); 3 fuel
+exhausted (every reported failure ran out of fuel, or nf/complete hit the
+fuel bound).
 
 JSON reports (--json) are schema-stable and byte-identical for every
 --jobs setting.
@@ -42,13 +45,11 @@ from typing import Optional, Sequence
 
 from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
-from .gsb import (Diverged, EmptyLeadingWord, InconsistentAmbiguity, _check_row,
-                  _failure, _require_nonempty_leads, _rows, _scope_set,
-                  enumerate_irr, verify_gsb)
+from .gsb import (Diverged, _check_row, _failure, _require_nonempty_leads, _rows,
+                  _scope_set, complete, enumerate_irr, verify_gsb)
 from .orders import DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
 from .reduction import (_STRATEGIES, DEFAULT_FUEL, DEFAULT_STRATEGY, FuelExhausted,
-                        NotBinomial, OrientationError, Presentation, ZeroPolynomial,
-                        format_polynomial, word_nf)
+                        NotBinomial, Presentation, format_polynomial, word_nf)
 
 
 class ParseError(ValueError):
@@ -64,8 +65,9 @@ _INV_RE = re.compile(r"^inv\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$")
 _LEVEL_RE = re.compile(r"^level\(\s*([^\s,()]+)\s*\)\s*=\s*(-?\d+)$")
 
 
-def _parse_order_text(text: str, line: int, alphabet: Alphabet) -> OrderSpec:
-    tokens = re.findall(r"[A-Za-z_]\w*|[(),]", text)
+def _parse_order_text(text: str, alphabet: Alphabet) -> OrderSpec:
+    """The order spec that text names over alphabet; ValueError if it names none."""
+    tokens = re.findall(r"[A-Za-z_]\w*|\S", text)
     pos = 0
 
     def peek() -> Optional[str]:
@@ -74,10 +76,10 @@ def _parse_order_text(text: str, line: int, alphabet: Alphabet) -> OrderSpec:
     def take(expected: Optional[str] = None) -> str:
         nonlocal pos
         if pos >= len(tokens):
-            raise ParseError(line, f"order spec ended unexpectedly in {text!r}")
+            raise ValueError(f"order spec ended unexpectedly in {text!r}")
         tok = tokens[pos]
         if expected is not None and tok != expected:
-            raise ParseError(line, f"expected {expected!r}, found {tok!r} in order spec")
+            raise ValueError(f"expected {expected!r}, found {tok!r} in order spec")
         pos += 1
         return tok
 
@@ -90,10 +92,10 @@ def _parse_order_text(text: str, line: int, alphabet: Alphabet) -> OrderSpec:
         elif low[0] in "sl" and low[1:].isdigit():
             level = int(low[1:])
         else:
-            raise ParseError(line, f"unknown letter group {name!r}")
+            raise ValueError(f"unknown letter group {name!r}")
         ids = [i for i in range(len(alphabet)) if alphabet.levels[i] == level]
         if not ids:
-            raise ParseError(line, f"letter group {name!r} is empty")
+            raise ValueError(f"letter group {name!r} is empty")
         return ids
 
     def parse_expr() -> tuple:
@@ -107,20 +109,16 @@ def _parse_order_text(text: str, line: int, alphabet: Alphabet) -> OrderSpec:
                 groups.append(take())
             take(")")
             if not groups:
-                raise ParseError(line, "tower needs at least one letter group")
+                raise ValueError("tower needs at least one letter group")
             return ("tower", inner, groups)
         if head not in ("deglex", "inlex", "deginlex"):
-            raise ParseError(line, f"unknown order {head!r}")
+            raise ValueError(f"unknown order {head!r}")
         group = None
         if peek() == "(":
             take("(")
             group = take()
             take(")")
         return (head, group)
-
-    tree = parse_expr()
-    if pos != len(tokens):
-        raise ParseError(line, f"trailing tokens in order spec {text!r}")
 
     base_classes = {"deglex": DegLex, "inlex": InLex, "deginlex": DegInLex}
 
@@ -140,11 +138,21 @@ def _parse_order_text(text: str, line: int, alphabet: Alphabet) -> OrderSpec:
             ids = group_ids(gname)
         return base_classes[head](ranking_of(sorted(ids)))
 
-    return bind(tree, set())
+    try:
+        tree = parse_expr()
+        if pos != len(tokens):
+            raise ValueError(f"trailing tokens in order spec {text!r}")
+        return bind(tree, set())
+    except RecursionError:
+        raise ValueError("order spec is nested too deeply") from None
 
 
-def parse_presentation(text: str) -> Presentation:
-    """Parse the presentation file grammar; see the module docstring."""
+def parse_presentation(text: str, order: Optional[str] = None) -> Presentation:
+    """Parse the presentation file grammar; see the module docstring.
+
+    An order text given as ``order`` replaces the file's order clause, before
+    any relation is checked for orientation.
+    """
     letters_decl: Optional[list[str]] = None
     letters_line = 0
     inverses: dict[str, str] = {}
@@ -198,9 +206,16 @@ def parse_presentation(text: str) -> Presentation:
         Letter(name, level=levels.get(name, 0), inverse=inverses.get(name))
         for name in ascending
     ])
-    if order_clause is None:
+    if order is not None:
+        spec = _parse_order_text(order, alphabet)
+    elif order_clause is None:
         raise ParseError(letters_line, "missing order declaration")
-    order = _parse_order_text(order_clause[1], order_clause[0], alphabet)
+    else:
+        order_line, order = order_clause
+        try:
+            spec = _parse_order_text(order, alphabet)
+        except ValueError as e:
+            raise ParseError(order_line, str(e)) from None
 
     def parse_word(tok: str, lineno: int) -> Word:
         tok = tok.strip()
@@ -221,8 +236,7 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError(lineno, f"malformed relation {clause!r}")
         pairs.append((parse_word(left, lineno), parse_word(right, lineno)))
 
-    return Presentation.from_oriented(alphabet, order, pairs,
-                                      order_text=order_clause[1])
+    return Presentation.from_oriented(alphabet, spec, pairs, order_text=order)
 
 
 def dump_presentation(S: Presentation, title: Optional[str] = None) -> str:
@@ -302,40 +316,17 @@ def _json_out(payload: dict) -> None:
 
 
 def _load_presentation(args) -> tuple[Presentation, Optional[int]]:
-    if args.n is not None:
-        if args.n < 2:
-            raise ParseError(0, "--n must be at least 2")
-        return artin_markov(args.n), args.n
-    with open(args.presentation, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    S = parse_presentation(text)
-    if args.order:
-        order = _parse_order_text(args.order, 0, S.alphabet)
-        # re-validate the file's declared sides against the override order:
-        # flipping a relation silently would change which side rewrites
-        pairs = [(S.lead(i), Word(S.alphabet, t)) for i, t in enumerate(S._tails)]
-        S = Presentation.from_oriented(S.alphabet, order, pairs, S.families,
-                                       order_text=args.order)
-    return S, None
-
-
-def _scope_arg(args, S: Presentation) -> Optional[tuple[str, str]]:
-    if not args.scope:
-        return None
-    parts = [p.strip() for p in args.scope.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise ParseError(0, f"--scope must be 'FAM,FAM', got {args.scope!r}")
-    for label in parts:
-        if label not in S.families:
-            raise ParseError(0, f"--scope names unknown family {label!r}")
-    return (parts[0], parts[1])
+    if args.n is None:
+        with open(args.presentation, "r", encoding="utf-8") as fh:
+            return parse_presentation(fh.read(), args.order), None
+    if args.order is not None:
+        raise ValueError("--order goes with --presentation only")
+    return artin_markov(args.n), args.n
 
 
 def _cmd_verify(args) -> int:
     S, _ = _load_presentation(args)
-    if args.jobs < 1:
-        raise ParseError(0, "--jobs must be at least 1")
-    report = verify_gsb(S, fuel=args.fuel, scope=_scope_arg(args, S), jobs=args.jobs)
+    report = verify_gsb(S, fuel=args.fuel, scope=args.scope, jobs=args.jobs)
     if args.json:
         _json_out(report.to_json_dict())
     else:
@@ -350,7 +341,7 @@ def _parse_cli_word(text: str, S: Presentation, n: Optional[int]) -> Word:
     if n is None:
         for tok in tokens:
             if tok not in S.alphabet:
-                raise ParseError(0, f"undeclared letter {tok!r} in --word")
+                raise ValueError(f"undeclared letter {tok!r} in --word")
         return S.alphabet.word(tokens)
     scheme = braid_scheme(n)
     ids: list[int] = []
@@ -360,10 +351,10 @@ def _parse_cli_word(text: str, S: Presentation, n: Optional[int]) -> Word:
         elif re.fullmatch(r"g\d+", tok):
             k = int(tok[1:])
             if not 1 <= k <= n - 1:
-                raise ParseError(0, f"generator {tok!r} out of range for n={n}")
+                raise ValueError(f"generator {tok!r} out of range for n={n}")
             ids.extend(artin_to_s((k,), scheme).letters)
         else:
-            raise ParseError(0, f"cannot read token {tok!r} as a letter for n={n}")
+            raise ValueError(f"cannot read token {tok!r} as a letter for n={n}")
     return Word(scheme.alphabet, tuple(ids))
 
 
@@ -381,8 +372,7 @@ def _cmd_nf(args) -> int:
 def _cmd_compositions(args) -> int:
     S, _ = _load_presentation(args)
     _require_nonempty_leads(S)
-    scope = _scope_arg(args, S)
-    fams = S.families
+    scope, fams = args.scope, S.families
     instances = []
     exhausted = 0
     nontrivial = 0
@@ -421,10 +411,9 @@ def _cmd_compositions(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    from .gsb import complete as run_complete
-    S, n = _load_presentation(args)
+    S, _ = _load_presentation(args)
     try:
-        result, log = run_complete(S, max_new=args.max_new, fuel=args.fuel)
+        result, log = complete(S, max_new=args.max_new, fuel=args.fuel)
         converged = True
     except Diverged as e:
         result, log = e.partial, e.log
@@ -475,15 +464,55 @@ def _cmd_dump(args) -> int:
     return 0
 
 
-def _fuel_arg(text: str) -> int:
-    """--fuel: a rewrite-step budget of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _family_pair(text: str) -> tuple[str, str]:
+    """An argparse type: the --scope text 'FAM,FAM' as a label pair."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2 or not all(parts):
+        raise argparse.ArgumentTypeError(f"must be 'FAM,FAM', got {text!r}")
+    return (parts[0], parts[1])
+
+
+# every option a subcommand can read besides its presentation source
+_OPTIONS = {
+    "--order": dict(help="order spec, overrides the file's order"),
+    "--fuel": dict(type=_at_least(0), default=DEFAULT_FUEL, help="reduction step budget"),
+    "--jobs": dict(type=_at_least(1), default=1, help="parallel worker count"),
+    "--scope": dict(type=_family_pair, help="family pair filter 'iFAM,jFAM'"),
+    "--json": dict(action="store_true", help="machine-readable report"),
+    "--word": dict(required=True, help="whitespace-separated letters"),
+    "--strategy": dict(default=DEFAULT_STRATEGY, choices=tuple(_STRATEGIES),
+                       help="rewriting schedule; no schedule is fastest on every "
+                            "word, and canonical can need exponentially many steps"),
+    "--max-len": dict(type=_at_least(0), required=True),
+    "--max-new": dict(type=_at_least(0), default=100, help="completion addition budget"),
+}
+
+# subcommand: (handler, help, the options it reads, in --help order)
+_COMMANDS = {
+    "verify-gsb": (_cmd_verify, "check all compositions",
+                   ("--order", "--fuel", "--jobs", "--scope", "--json")),
+    "nf": (_cmd_nf, "normal form of a word",
+           ("--order", "--fuel", "--json", "--word", "--strategy")),
+    "compositions": (_cmd_compositions, "list compositions, optionally scoped",
+                     ("--order", "--fuel", "--scope", "--json")),
+    "complete": (_cmd_complete, "Shirshov completion",
+                 ("--order", "--fuel", "--json", "--max-new")),
+    "irr": (_cmd_irr, "irreducible words up to a length", ("--order", "--json", "--max-len")),
+    "dump-presentation": (_cmd_dump, "print the presentation file", ("--order", "--json")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -491,53 +520,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gsbraid",
         description="Groebner-Shirshov basis verification and braid normal forms.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, fuel=True, jobs=False, scope=False, word=False,
-                   max_len=False, max_new=False):
+    for name, (_, help_text, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--n", type=int, help="strand count; use the braid system")
+        src.add_argument("--n", type=_at_least(2), help="strand count; use the braid system")
         src.add_argument("--presentation", help="presentation file")
-        p.add_argument("--order", help="order spec, overrides the file's order")
-        if fuel:
-            p.add_argument("--fuel", type=_fuel_arg, default=DEFAULT_FUEL,
-                           help="reduction step budget")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-        if scope:
-            p.add_argument("--scope", help="family pair filter 'iFAM,jFAM'")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        if word:
-            p.add_argument("--word", required=True, help="whitespace-separated letters")
-            p.add_argument("--strategy", default=DEFAULT_STRATEGY, choices=tuple(_STRATEGIES),
-                           help="rewriting schedule; no schedule is fastest on every "
-                                "word, and canonical can need exponentially many steps")
-        if max_len:
-            p.add_argument("--max-len", type=int, required=True, dest="max_len")
-        if max_new:
-            p.add_argument("--max-new", type=int, default=100, dest="max_new",
-                           help="completion addition budget")
-
-    add_common(sub.add_parser("verify-gsb", help="check all compositions"),
-               jobs=True, scope=True)
-    add_common(sub.add_parser("nf", help="normal form of a word"), word=True)
-    add_common(sub.add_parser("compositions", help="list compositions, optionally scoped"),
-               scope=True)
-    add_common(sub.add_parser("complete", help="Shirshov completion"), max_new=True)
-    add_common(sub.add_parser("irr", help="irreducible words up to a length"),
-               fuel=False, max_len=True)
-    add_common(sub.add_parser("dump-presentation", help="print the presentation file"),
-               fuel=False)
+        for flag in reads:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
-
-
-_HANDLERS = {
-    "verify-gsb": _cmd_verify,
-    "nf": _cmd_nf,
-    "compositions": _cmd_compositions,
-    "complete": _cmd_complete,
-    "irr": _cmd_irr,
-    "dump-presentation": _cmd_dump,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -547,9 +537,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
-    except (ParseError, OrientationError, NotBinomial, ZeroPolynomial, EmptyLeadingWord,
-            InconsistentAmbiguity, OSError) as e:
+        return _COMMANDS[args.command][0](args)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FuelExhausted as e:

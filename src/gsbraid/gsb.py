@@ -248,7 +248,7 @@ def _scope_set(scope, families: Sequence[str]) -> Optional[set[tuple[str, str]]]
     scopes = set(scopes)
     unknown = {x for pair in scopes for x in pair} - set(families)
     if unknown:
-        raise ValueError("scope names unknown families: "
+        raise ValueError("scope names unknown family "
                          + ", ".join(sorted(map(repr, unknown))))
     return scopes
 

@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .freealg import Alphabet, Polynomial, Word, _join_terms
-from .orders import GREATER, LESS, OrderSpec, _is_monomial, compare, compare_ids
+from .orders import GREATER, LESS, ForeignLetter, OrderSpec, _is_monomial, compare_ids, domain
 
 
 class ZeroPolynomial(ValueError):
@@ -153,8 +153,10 @@ def _decode(s: str) -> tuple[int, ...]:
 class Presentation:
     """An alphabet, an order, and an ordered list of monic oriented relations.
 
-    ``families`` carries one label per relation (used for scoped
-    verification reports); labels default to the 1-based relation position.
+    Every letter of every relation must be one the order compares
+    (``ForeignLetter`` otherwise).  ``families`` carries one label per
+    relation (used for scoped verification reports); labels default to the
+    1-based relation position.
     Equality compares alphabet, order, and relations; families and the
     optional ``order_text`` annotation are display metadata.
     """
@@ -170,9 +172,14 @@ class Presentation:
         self.order = order
         rels: list[Polynomial] = []
         leads: list[tuple[int, ...]] = []
+        ranked = domain(order)
         for i, p in enumerate(relations):
             if not p.terms:
                 raise ZeroPolynomial(f"relation {i} is the zero polynomial")
+            stray = {x for t in p.terms for x in t} - ranked
+            if stray:
+                name = p.alphabet.letters[min(stray)].name
+                raise ForeignLetter(f"relation {i}: letter {name!r} is outside the order's alphabet")
             lead, c = leading(p, order)
             if c != 1:
                 p = p.scale(Fraction(1, 1) / c)
@@ -213,12 +220,17 @@ class Presentation:
                       pairs: Iterable[tuple[Word, Word]], families: Optional[Sequence[str]] = None,
                       order_text: Optional[str] = None) -> "Presentation":
         """Build from (LHS, RHS) word pairs; each LHS must be strictly order-leading."""
+        pairs = list(pairs)
         polys = []
         for i, (lhs, rhs) in enumerate(pairs):
-            if compare(order, lhs, rhs) != GREATER:
+            if lhs.letters == rhs.letters:
                 raise OrientationError(i, f" ({lhs} vs {rhs})")
             polys.append(Polynomial.from_word(lhs) - Polynomial.from_word(rhs))
-        return cls(alphabet, order, polys, families, order_text)
+        S = cls(alphabet, order, polys, families, order_text)
+        for i, (lhs, rhs) in enumerate(pairs):
+            if S._lead[i] != lhs.letters:
+                raise OrientationError(i, f" ({lhs} vs {rhs})")
+        return S
 
     @property
     def binomial(self) -> bool:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,7 @@ from gsbraid.braid import artin_markov, braid_scheme
 from gsbraid.cli import ParseError, dump_presentation, main, parse_presentation
 from gsbraid.freealg import Alphabet, Letter, Polynomial
 from gsbraid.orders import DegInLex, DegLex, InLex, Tower, compare, ranking_of
-from gsbraid.reduction import Presentation
+from gsbraid.reduction import OrientationError, Presentation
 
 TOY = """\
 # squaring collapses to the small letter
@@ -77,15 +82,34 @@ def test_parse_errors_carry_line_numbers():
         ("letters: a > b\norder: waffle\na . a = b", 2, "unknown order"),
         ("letters: a > b\norder: deglex(Q7)\na . a = b", 2, "unknown letter group"),
         ("letters: a > b\norder: deglex extra\na . a = b", 2, "trailing tokens"),
+        ("letters: a > b\norder: deglex!\na . a = b", 2, "trailing tokens"),
+        ("letters: a > b\norder: tower(deglex, 3)\na . a = b", 2, "unknown letter group '3'"),
         ("letters: a > b\norder: tower(deglex)\na . a = b", 2, "at least one letter group"),
         ("letters: a > b\norder: deglex(sigma)\na . a = b", 2, "is empty"),
         ("letters: a > b\ninv(a, b); inv(a, a)\norder: deglex", 2, "conflicting inverse"),
+        ("letters: x > y\nlevel(x)=1\norder: tower(deglex(all), sigma)", 3, "sets overlap"),
+        ("letters: x\norder: " + "tower(" * max(1200, sys.getrecursionlimit() + 1) + "deglex",
+         2, "nested too deeply"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(ParseError) as exc:
             parse_presentation(text)
         assert exc.value.line == line, text
         assert fragment in str(exc.value), text
+
+
+def test_order_text_argument_replaces_the_file_order():
+    # x = y . y leads only under inlex; the file's deglex is never consulted
+    text = "letters: x > y; order: deglex; x = y . y"
+    with pytest.raises(OrientationError):
+        parse_presentation(text)
+    S = parse_presentation(text, order="inlex")
+    assert (S.order, S.order_text) == (InLex(ranking_of([0, 1])), "inlex")
+    assert parse_presentation("letters: x > y; x . x = y", order="deglex").order_text == "deglex"
+    # an error in the replacing text has no file line to name
+    with pytest.raises(ValueError, match="unknown order 'waffle'") as exc:
+        parse_presentation(TOY, order="waffle")
+    assert not isinstance(exc.value, ParseError)
 
 
 def test_parse_accepts_semicolons_comments_and_constants():
@@ -262,7 +286,7 @@ def test_empty_leading_word_is_a_usage_error(tmp_path, capsys, monkeypatch):
     S = parse_presentation("letters: x\norder: deglex\nx . x = x\n")
     const = Presentation(S.alphabet, S.order, list(S.relations)
                          + [Polynomial.from_word(S.alphabet.empty_word(), 2)])
-    monkeypatch.setattr(cli, "parse_presentation", lambda text: const)
+    monkeypatch.setattr(cli, "parse_presentation", lambda text, order=None: const)
     for cmd in ("verify-gsb", "compositions", "complete"):
         assert main([cmd, "--presentation", path]) == 2
         captured = capsys.readouterr()
@@ -424,6 +448,10 @@ def test_order_override_revalidates_orientation(tmp_path, capsys):
     assert main(["nf", "--presentation", path, "--order", "inlex",
                  "--word", "b a"]) == 2
     assert "not order-leading" in capsys.readouterr().err
+    # x = y . y leads only under inlex, which replaces deglex before the check
+    path = _write(tmp_path, "letters: x > y; order: deglex; x = y . y\n")
+    assert main(["nf", "--presentation", path, "--order", "inlex", "--word", "x x"]) == 0
+    assert capsys.readouterr().out == "y y y y\n"
 
 
 def test_order_override_success_is_visible_in_dump(tmp_path, capsys):
@@ -451,3 +479,103 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(capsys):
     assert main(["dump-presentation", "--n", "2", "--fuel", "5"]) == 2
     assert main(["compositions", "--n", "2", "--jobs", "2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_out_of_range_options_exit_two_with_nothing_on_stdout(capsys):
+    for argv in (["verify-gsb", "--n", "1"],
+                 ["verify-gsb", "--n", "2", "--fuel", "-1"],
+                 ["verify-gsb", "--n", "2", "--jobs", "0"],
+                 ["irr", "--n", "3", "--max-len", "-1"],
+                 ["complete", "--n", "2", "--max-new", "-3"],
+                 ["verify-gsb", "--n", "3", "--order", "nonsense((("]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err, argv
+
+
+def test_malformed_orders_and_letters_in_files_exit_two(tmp_path, capsys):
+    cases = [
+        ("letters: x > y\nlevel(x)=1\norder: tower(deglex(all), sigma)\nx . y = y . x\n",
+         "error: line 3: tower Y and Z letter sets overlap"),
+        ("letters: x > y > z\nlevel(x)=1; level(y)=1\norder: deglex(sigma)\nx . z = y\n",
+         "error: relation 0: letter 'z' is outside the order's alphabet"),
+    ]
+    for text, message in cases:
+        path = _write(tmp_path, text)
+        assert main(["dump-presentation", "--presentation", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+    (tmp_path / "bytes.txt").write_bytes(b"letters: a > b\norder: deglex\na . a = \xff\n")
+    assert main(["dump-presentation", "--presentation", str(tmp_path / "bytes.txt")]) == 2
+    assert "can't decode" in capsys.readouterr().err
+
+
+# --- malformed files ------------------------------------------------------------
+
+TOWER = """\
+letters: x > y > z
+level(x)=1; level(y)=1
+order: tower(deglex, sigma)
+x . z = z . x
+y . y = z
+"""
+
+_VALID = [TOY, DIVERGING, LONG_LEAD, TWO_INCLUSIONS, TOWER, dump_presentation(artin_markov(2))]
+
+_BAD_ORDERS = [
+    "tower(deglex(all), sigma)",                  # a tower group overlaps its base
+    "tower(deglex, sigma, sigma)",
+    "deglex(sigma)",                              # leaves letters outside the order
+    "deglex(S7)",                                 # an empty group
+    "tower(" * 1200 + "deglex" + ", sigma)" * 1200,
+    "tower(" * 1200 + "deglex",
+    "tower(deglex)", "((", "",
+]
+
+_BAD_CLAUSES = [
+    "letters: a > a", "letters: x > > y", "inv(x, x)", "inv(x, q)", "level(x) = -1",
+    "x . q = x", "1 = 1", "x . 1 = x", "= x", "x =", "x . x . x = x . x",
+]
+
+
+@st.composite
+def _malformed_file(draw) -> bytes:
+    clauses = [c for line in draw(st.sampled_from(_VALID)).splitlines()
+               for c in line.split(";") if c.strip()]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(clauses) - 1)) if clauses else 0
+        edit = draw(st.sampled_from(["drop", "duplicate", "insert", "order"]))
+        if edit == "drop" and clauses:
+            del clauses[k]
+        elif edit == "duplicate" and clauses:
+            clauses.insert(k, clauses[k])
+        elif edit == "order":
+            order = "order: " + draw(st.sampled_from(_BAD_ORDERS))
+            clauses = [order if c.startswith("order:") else c for c in clauses]
+        else:
+            clauses.insert(k, draw(st.sampled_from(_BAD_CLAUSES)))
+    data = "\n".join(clauses).encode("utf-8")
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[k:]
+    return data
+
+
+_COMMAND_LINES = [["dump-presentation"], ["dump-presentation", "--json"],
+                  ["verify-gsb", "--fuel", "2000"], ["compositions", "--fuel", "2000"],
+                  ["complete", "--max-new", "3", "--fuel", "2000"], ["irr", "--max-len", "2"],
+                  ["nf", "--word", "x y x", "--fuel", "2000"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_file(), st.sampled_from(_COMMAND_LINES))
+def test_malformed_files_exit_with_a_documented_code(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(command[:1] + ["--presentation", str(path)] + command[1:])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

@@ -10,6 +10,7 @@ import pytest
 from gsbraid import (
     Alphabet,
     DegLex,
+    ForeignLetter,
     FuelExhausted,
     Letter,
     NotBinomial,
@@ -101,6 +102,22 @@ def test_from_oriented_rejects_flipped_sides():
         Presentation.from_oriented(SCH3.alphabet, SCH3.order,
                                    [(W3("s12^-1"), W3("s12"))])
     assert exc.value.index == 0
+    with pytest.raises(OrientationError) as exc:
+        Presentation.from_oriented(SCH3.alphabet, SCH3.order,
+                                   [(W3("s12 s12"), W3("s12")), (W3("s12"), W3("s12"))])
+    assert exc.value.index == 1
+
+
+def test_presentation_rejects_letters_outside_the_order():
+    ab = Alphabet([Letter("y"), Letter("x"), Letter("z")])
+    spec = DegLex(ranking_of([0, 1]))
+    def poly(text):
+        return Polynomial.from_word(ab.word(text))
+    for relation in (poly("x z") - poly("y"), poly("z") - poly("y")):
+        with pytest.raises(ForeignLetter, match="letter 'z' is outside"):
+            Presentation(ab, spec, [relation])
+    with pytest.raises(ForeignLetter):
+        Presentation.from_oriented(ab, spec, [(ab.word("x z"), ab.word("y"))])
 
 
 def test_default_family_labels_are_positions():
