@@ -16,11 +16,12 @@ A composition is trivial when it reduces to zero; since every reduction
 step rewrites below w, a zero normal form witnesses the required
 expansion sum(alpha_i a_i s_i b_i) with a_i s̄_i b_i < w.  verify_gsb
 checks every ambiguity of every ordered relation pair; the report is
-deterministic regardless of worker count.  For binomial presentations
-the triviality check rewrites the two branch words of the composition
-on the word fast path and compares their normal forms; the evidence
-trace concatenates both rewrite sequences and replays soundly on the
-composition polynomial (steps on cancelled terms are no-ops).
+deterministic regardless of worker count.  On binomial presentations
+verdicts, check_trivial and failure evidence share one check: it rewrites
+the two branch words of the composition on the word fast path and
+compares their normal forms; its trace concatenates both rewrite
+sequences and replays soundly on the composition polynomial (steps on
+cancelled terms are no-ops).  A fuel failure is reported unreduced.
 """
 
 from __future__ import annotations
@@ -181,31 +182,17 @@ def check_trivial(f: Polynomial, g: Polynomial, amb: Ambiguity, S: Presentation,
                   fuel: int = DEFAULT_FUEL) -> tuple[bool, ReductionTrace]:
     """Whether (f,g)_w reduces to zero modulo S; the trace is the evidence.
 
-    When S and the composition are binomial, the two branch words are
-    rewritten independently on the word fast path and their normal forms
-    compared; the returned trace concatenates both rewrite sequences (it
-    replays on the composition polynomial, where the sign of each branch
-    is picked up from the term being rewritten).  Otherwise the
-    composition is reduced on the polynomial path.
+    f and g are relations of S.  When S and the composition are binomial,
+    this is _branch_check on the composition's +1 and -1 terms; otherwise
+    the composition is reduced on the polynomial path.
     """
     comp = composition(f, g, amb, S.order)
     if comp.is_zero():
         return True, ReductionTrace([], comp, 0)
-    _require_below_w(S, leading(comp, S.order)[0].letters, amb)
     if S._rules is not None and sorted(comp.terms.values()) == [Fraction(-1), Fraction(1)]:
-        (pos_t,) = (t for t, c in comp.terms.items() if c == 1)
-        (neg_t,) = (t for t, c in comp.terms.items() if c == -1)
-        emit: list = []
-        try:
-            su, sv, used = _branch_nfs(S, _encode(pos_t), _encode(neg_t), fuel, emit)
-        except FuelExhausted as e:
-            raise FuelExhausted(e.fuel_used,
-                                partial=Word(S.alphabet, _decode(e.partial))) from None
-        steps = [ReductionStep(idx, p, Word(S.alphabet, _decode(a)), Word(S.alphabet, _decode(b)))
-                 for idx, p, a, b in emit]
-        result = (Polynomial.from_word(Word(S.alphabet, _decode(su)))
-                  - Polynomial.from_word(Word(S.alphabet, _decode(sv))))
-        return su == sv, ReductionTrace(steps, result, used)
+        u, v = sorted(comp.terms, key=comp.terms.get, reverse=True)  # +1 term, -1 term
+        return _branch_check(S, amb, u, v, fuel, trace=True)
+    _require_below_w(S, leading(comp, S.order)[0].letters, amb)
     nf, trace = normal_form(comp, S, fuel)
     return nf.is_zero(), trace
 
@@ -217,14 +204,42 @@ def _require_below_w(S: Presentation, lead: tuple[int, ...], amb: Ambiguity) -> 
                                     f" is not below w = {amb.w}")
 
 
-def _branch_nfs(S: Presentation, u: str, v: str, fuel: int,
-                emit: Optional[list] = None) -> tuple[str, str, int]:
-    """Normal forms of the encoded branch words u, v of a binomial
-    composition, rewritten in that order under one shared fuel budget."""
+def _branch_words(S: Presentation, amb: Ambiguity) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The branch words (u, v) of amb's composition u - v, from the stored tails."""
+    tails, a, b = S._tails, amb.a.letters, amb.b.letters
+    if amb.kind == "intersection":
+        return a + tails[amb.right_rel], tails[amb.left_rel] + b
+    return a + tails[amb.right_rel] + b, tails[amb.left_rel]
+
+
+def _branch_check(S: Presentation, amb: Ambiguity, u: tuple[int, ...], v: tuple[int, ...],
+                  fuel: int, trace: bool = False) -> tuple[bool, Optional[ReductionTrace]]:
+    """The one check of a binomial composition u - v at amb: whether its
+    branch words u, v, rewritten in that order under one fuel budget, meet.
+
+    Identical words are a zero composition.  The larger word is checked to
+    lie below w only under a non-monomial order (InLex at the base); under
+    a monomial order it always does.  ``trace`` adds both rewrite sequences
+    as one ReductionTrace, which replays on u - v.
+    """
+    if u == v:
+        return True, ReductionTrace([], Polynomial.zero(S.alphabet), 0) if trace else None
+    if not S._monomial:
+        _require_below_w(S, u if compare_ids(S.order, u, v) == GREATER else v, amb)
+    emit: Optional[list] = [] if trace else None
     eng = S._engine()
-    nu, used = eng.run(u, fuel, 0, emit)
-    nv, used = eng.run(v, fuel, used, emit)
-    return nu, nv, used
+    try:
+        su, used = eng.run(_encode(u), fuel, 0, emit)
+        sv, used = eng.run(_encode(v), fuel, used, emit)
+    except FuelExhausted as e:
+        raise FuelExhausted(e.fuel_used, partial=Word(S.alphabet, _decode(e.partial))) from None
+    if not trace:
+        return su == sv, None
+    steps = [ReductionStep(idx, p, Word(S.alphabet, _decode(a)), Word(S.alphabet, _decode(b)))
+             for idx, p, a, b in emit]
+    result = (Polynomial.from_word(Word(S.alphabet, _decode(su)))
+              - Polynomial.from_word(Word(S.alphabet, _decode(sv))))
+    return su == sv, ReductionTrace(steps, result, used)
 
 
 def _require_nonempty_leads(S: Presentation) -> None:
@@ -265,32 +280,14 @@ def _rows(S: Presentation, scopes: Optional[set[tuple[str, str]]]
 
 
 def _verdict(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[str]:
-    """None if the composition of amb is trivial, else "nontrivial" or "fuel".
-
-    On binomial presentations the verdict comes from the two branch words
-    of the composition, built from the stored tails: identical words are a
-    zero composition, and otherwise both are rewritten as in check_trivial.
-    Like check_trivial it raises InconsistentAmbiguity when the larger
-    branch word is not below w; only a non-monomial order (InLex at the
-    base) allows that, so only then is it checked.
-    """
-    i, j = amb.left_rel, amb.right_rel
-    tails = S._tails
+    """None if the composition of amb is trivial, else "nontrivial" or "fuel";
+    on a binomial presentation, _branch_check's verdict on _branch_words."""
     try:
-        if tails is None:
-            ok, _ = check_trivial(S.relations[i], S.relations[j], amb, S, fuel)
+        if S._tails is None:
+            ok, _ = check_trivial(S.relations[amb.left_rel], S.relations[amb.right_rel],
+                                  amb, S, fuel)
         else:
-            a, b = amb.a.letters, amb.b.letters
-            if amb.kind == "intersection":
-                u, v = a + tails[j], tails[i] + b
-            else:
-                u, v = a + tails[j] + b, tails[i]
-            if u == v:
-                return None
-            if not S._monomial:
-                _require_below_w(S, u if compare_ids(S.order, u, v) == GREATER else v, amb)
-            nu, nv, _ = _branch_nfs(S, _encode(u), _encode(v), fuel)
-            ok = nu == nv
+            ok, _ = _branch_check(S, amb, *_branch_words(S, amb), fuel)
     except FuelExhausted:
         return "fuel"
     return None if ok else "nontrivial"
@@ -316,15 +313,18 @@ def _check_row(S: Presentation, i: int, js: Iterable[int], fuel: int
 
 
 def _failure(S: Presentation, amb: Ambiguity, reason: str, fuel: int) -> VerificationFailure:
-    """The evidence for a failed check: check_trivial re-run, keeping its trace."""
+    """The evidence for a failed check, from the check that gave its verdict
+    (a binomial fuel failure: the composition unreduced, not rewritten)."""
     f, g = S.relations[amb.left_rel], S.relations[amb.right_rel]
-    try:
-        _, trace = check_trivial(f, g, amb, S, fuel)
-    except FuelExhausted as e:
-        trace = e.trace
-        if trace is None:
-            # the word path keeps no trace: report the composition unreduced
-            trace = ReductionTrace([], composition(f, g, amb, S.order), e.fuel_used)
+    if S._tails is None:
+        try:
+            _, trace = check_trivial(f, g, amb, S, fuel)
+        except FuelExhausted as e:
+            trace = e.trace
+    elif reason == "fuel":
+        trace = ReductionTrace([], composition(f, g, amb, S.order), fuel)
+    else:
+        _, trace = _branch_check(S, amb, *_branch_words(S, amb), fuel, trace=True)
     return VerificationFailure(amb, trace.result, trace, reason)
 
 

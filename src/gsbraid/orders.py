@@ -28,6 +28,10 @@ from .freealg import Word
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
+# compare_ids and domain recurse once per tower level; this many levels
+# stay well inside the interpreter's default limit of 1,000 frames
+_MAX_TOWER_LEVELS = 512
+
 
 class ForeignLetter(ValueError):
     """Raised when a word contains a letter outside the order's alphabet."""
@@ -59,6 +63,11 @@ class Tower:
     z_ranking: Mapping[int, int]
 
     def __post_init__(self):
+        levels, spec = 1, self.y_order
+        while isinstance(spec, Tower):
+            levels, spec = levels + 1, spec.y_order
+        if levels > _MAX_TOWER_LEVELS:
+            raise ValueError(f"tower has more than {_MAX_TOWER_LEVELS} levels")
         overlap = set(self.z_ranking) & domain(self.y_order)
         if overlap:
             raise ValueError(f"tower Y and Z letter sets overlap: {sorted(overlap)}")

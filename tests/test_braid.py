@@ -18,7 +18,7 @@ from gsbraid.braid import (
 from gsbraid.freealg import Word
 from gsbraid.gsb import verify_gsb, verify_minimal
 from gsbraid.oracles import IndexOutOfRange, burau, perm_image, relator_perturb
-from gsbraid.reduction import word_nf
+from gsbraid.reduction import FuelExhausted, word_nf
 
 SCH3 = braid_scheme(3)
 SCH4 = braid_scheme(4)
@@ -202,6 +202,17 @@ def test_braid_nf_preserves_permutation_and_burau_images():
         back = s_to_artin(braid_nf(w, 4), SCH4)
         assert perm_image(back, 4).image == perm_image(w, 4).image
         assert burau(back, 4) == burau(w, 4)
+
+
+@pytest.mark.parametrize("strategy", ["rightmost", "leftmost"])
+def test_fuel_exhaustion_returns_a_partial_word_of_the_same_braid(strategy):
+    w = (2, -1, -3, 2) * 10
+    with pytest.raises(FuelExhausted) as exc:
+        braid_nf(w, 4, fuel=2000, strategy=strategy)
+    assert exc.value.fuel_used == 2000
+    partial = s_to_artin(exc.value.partial, SCH4)
+    assert perm_image(partial, 4) == perm_image(w, 4)
+    assert burau(partial, 4) == burau(w, 4)
 
 
 def test_braid_nf_invariant_under_relator_perturbation():

@@ -510,6 +510,28 @@ def test_malformed_orders_and_letters_in_files_exit_two(tmp_path, capsys):
     assert "can't decode" in capsys.readouterr().err
 
 
+def _flat_tower(levels: int) -> str:
+    """A tower of one-letter levels x1 < ... < x<levels> over the base letter x0."""
+    return (f"letters: {' > '.join(f'x{i}' for i in range(levels, -1, -1))}\n"
+            + "; ".join(f"level(x{i})={i}" for i in range(1, levels + 1)) + "\n"
+            + f"order: tower(deglex, {', '.join(f'S{i}' for i in range(1, levels + 1))})\n"
+            + f"x{levels} . x0 = x0 . x{levels}\n")
+
+
+def test_a_tower_of_512_levels_runs(tmp_path, capsys):
+    assert main(["verify-gsb", "--presentation", _write(tmp_path, _flat_tower(512))]) == 0
+    assert "failures: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("levels", [513, 987, 5000])
+def test_towers_of_more_than_512_levels_exit_two(tmp_path, capsys, levels):
+    # comparisons recurse once per level: deeper towers would overflow the stack
+    assert main(["verify-gsb", "--presentation", _write(tmp_path, _flat_tower(levels))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: tower has more than 512 levels\n"
+
+
 # --- malformed files ------------------------------------------------------------
 
 TOWER = """\

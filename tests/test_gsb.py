@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsbraid import gsb
-from gsbraid.braid import artin_markov, braid_scheme
+from gsbraid import gsb, reduction
+from gsbraid.braid import artin_markov, artin_to_s, braid_scheme
 from gsbraid.freealg import Alphabet, Letter, Polynomial, Word
 from gsbraid.gsb import (
     Ambiguity,
@@ -387,6 +387,65 @@ def test_verification_flags_missing_commutation_family():
     assert len(blob["failures"]) == len(report.failures)
     assert all(set(e) == {"kind", "left", "right", "w", "remainder"}
                for e in blob["failures"])
+
+
+def _count_rewrites(monkeypatch) -> list:
+    """Patch the word engine so that each call of its rewrite loop is logged."""
+    calls: list = []
+    run = reduction._WordEngine.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(reduction._WordEngine, "run", counted)
+    return calls
+
+
+def test_fuel_failure_evidence_rewrites_nothing(monkeypatch):
+    # a fuel verdict's evidence is the composition unreduced: rewriting it
+    # again would only spend the same fuel a second time
+    amb = next(amb for i, js in gsb._rows(S3, None) for *_, amb, reason
+               in gsb._check_row(S3, i, js, 1) if reason == "fuel")
+    calls = _count_rewrites(monkeypatch)
+    failure = gsb._failure(S3, amb, "fuel", 1)
+    assert calls == []
+    f, g = S3.relations[amb.left_rel], S3.relations[amb.right_rel]
+    assert failure.remainder == failure.trace.result == composition(f, g, amb, S3.order)
+    assert failure.trace.steps == [] and failure.trace.fuel_used == 1
+
+
+def _b4_with_power(k: int) -> Presentation:
+    """artin_markov(4) plus W = 1, W the s-spelling of (σ2 σ1⁻¹ σ3⁻¹ σ2)^k."""
+    S = artin_markov(4)
+    W = artin_to_s((2, -1, -3, 2) * k, braid_scheme(4))
+    rel = Polynomial.from_word(W) - Polynomial.from_word(S.alphabet.empty_word())
+    return Presentation(S.alphabet, S.order, list(S.relations) + [rel],
+                        list(S.families) + ["W"], order_text=S.order_text)
+
+
+def test_power_relation_fuel_failures_report_the_unreduced_composition(monkeypatch):
+    S = _b4_with_power(10)
+    calls = _count_rewrites(monkeypatch)
+    evidence_calls: list = []
+    failure = gsb._failure
+
+    def logged(*args):
+        before = len(calls)
+        out = failure(*args)
+        evidence_calls.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(gsb, "_failure", logged)
+    report = verify_gsb(S, fuel=2000)
+    assert report.ambiguities_checked == 477 and len(report.failures) == 50
+    assert evidence_calls == [0] * 50
+    for f in report.failures:
+        amb = f.ambiguity
+        assert f.reason == "fuel"
+        assert f.remainder == composition(S.relations[amb.left_rel], S.relations[amb.right_rel],
+                                          amb, S.order)
+        assert f.trace.steps == [] and f.trace.fuel_used == 2000
 
 
 # --- verify_minimal -------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsbraid.oracles import (
     IndexOutOfRange,
@@ -119,6 +121,36 @@ def test_burau_is_a_homomorphism():
         for variant in ("unreduced", "reduced"):
             assert (burau(u + v, 4, variant)
                     == burau(u, 4, variant) * burau(v, 4, variant))
+
+
+@st.composite
+def _word_pairs(draw, max_len: int = 12) -> tuple[int, list[int], list[int]]:
+    """A strand count n in 2..5 and two Artin words on n strands."""
+    n = draw(st.integers(2, 5))
+    words = st.lists(st.sampled_from([s * k for k in range(1, n) for s in (1, -1)]),
+                     max_size=max_len)
+    return n, draw(words), draw(words)
+
+
+def _inverse(w: list[int]) -> list[int]:
+    return [-x for x in reversed(w)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_word_pairs())
+def test_perm_image_is_a_homomorphism_property(case):
+    n, u, v = case
+    assert perm_image(u + v, n) == perm_image(u, n).then(perm_image(v, n))
+    assert perm_image(u + _inverse(u), n).is_identity()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word_pairs(), st.sampled_from(["unreduced", "reduced"]))
+def test_burau_is_a_homomorphism_property(case, variant):
+    n, u, v = case
+    assert burau(u + v, n, variant) == burau(u, n, variant) * burau(v, n, variant)
+    size = n if variant == "unreduced" else n - 1
+    assert burau(u + _inverse(u), n, variant) == LaurentMatrix.identity(size)
 
 
 def test_burau_respects_defining_relations():

@@ -24,7 +24,7 @@ from gsbraid import (
     ranking_of,
 )
 from gsbraid.braid import braid_scheme
-from gsbraid.orders import _is_monomial
+from gsbraid.orders import _is_monomial, compare_ids
 
 
 def flat(names: str) -> Alphabet:
@@ -78,6 +78,16 @@ def test_empty_word_is_minimal_under_every_base_order():
 def test_tower_rejects_overlapping_letter_sets():
     with pytest.raises(ValueError):
         Tower(DegLex(ranking_of([0, 1])), ranking_of([1, 2]))
+
+
+def test_tower_depth_is_capped_at_512_levels():
+    # comparisons recurse once per level, so the cap keeps them off the stack limit
+    spec = DegLex(ranking_of([0]))
+    for level in range(1, 513):
+        spec = Tower(spec, ranking_of([level]))
+    assert compare_ids(spec, (512, 0), (0, 512)) == GREATER
+    with pytest.raises(ValueError, match="tower has more than 512 levels"):
+        Tower(spec, ranking_of([513]))
 
 
 def test_scheme_letter_ranking_within_blocks():
