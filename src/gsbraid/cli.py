@@ -22,7 +22,10 @@ in parentheses, or tower(SPEC, GROUP, ...).  A group is ``sigma`` or
 ``S<k>`` or ``L<k>`` (the letters of level 1 resp. level k) or ``all``;
 a base spec without a group covers every letter not claimed by an
 enclosing tower.  Tower groups are listed innermost first, so the braid
-scheme order reads ``tower(deginlex(S3), S2, sigma)``.
+scheme order reads ``tower(deginlex(S3), S2, sigma)``.  A nested tower is
+the flat list of its groups: ``tower(tower(X, A), B)`` is
+``tower(X, A, B)``.  Towers nest at most 512 deep, and a tower has at
+most 512 levels.
 
 Exit codes: 0 success; 1 verification failure (a nontrivial composition,
 or completion diverged); 2 parse or usage error (every input error: a
@@ -47,7 +50,7 @@ from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
 from .gsb import (Diverged, _check_row, _failure, _require_nonempty_leads, _rows,
                   _scope_set, complete, enumerate_irr, verify_gsb)
-from .orders import DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
+from .orders import _MAX_TOWER_LEVELS, DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
 from .reduction import (_STRATEGIES, DEFAULT_FUEL, DEFAULT_STRATEGY, FuelExhausted,
                         NotBinomial, Presentation, format_polynomial, word_nf)
 
@@ -63,15 +66,15 @@ class ParseError(ValueError):
 
 _INV_RE = re.compile(r"^inv\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$")
 _LEVEL_RE = re.compile(r"^level\(\s*([^\s,()]+)\s*\)\s*=\s*(-?\d+)$")
+_BASE_ORDERS = {"deglex": DegLex, "inlex": InLex, "deginlex": DegInLex}
 
 
 def _parse_order_text(text: str, alphabet: Alphabet) -> OrderSpec:
-    """The order spec that text names over alphabet; ValueError if it names none."""
+    """The order spec that text names over alphabet; ValueError if it names
+    none.  One pass: the ``tower(`` prefixes, the base, then the groups of
+    each tower innermost first, so a nest reads as its flat group list."""
     tokens = re.findall(r"[A-Za-z_]\w*|\S", text)
     pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
 
     def take(expected: Optional[str] = None) -> str:
         nonlocal pos
@@ -83,68 +86,66 @@ def _parse_order_text(text: str, alphabet: Alphabet) -> OrderSpec:
         pos += 1
         return tok
 
+    depth = 0
+    head = take().lower()
+    while head == "tower":
+        depth += 1
+        if depth > _MAX_TOWER_LEVELS:
+            raise ValueError("order spec is nested too deeply")
+        take("(")
+        head = take().lower()
+    if head not in _BASE_ORDERS:
+        raise ValueError(f"unknown order {head!r}")
+    base_group = None
+    if tokens[pos:pos + 1] == ["("]:
+        take("(")
+        base_group = take()
+        take(")")
+    towers: list[list[str]] = []  # the group names of each tower, innermost first
+    for _ in range(depth):
+        groups = []
+        while tokens[pos:pos + 1] == [","]:
+            take(",")
+            groups.append(take())
+        take(")")
+        if not groups:
+            raise ValueError("tower needs at least one letter group")
+        towers.append(groups)
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens in order spec {text!r}")
+
+    everything = list(range(len(alphabet)))
+    by_level: dict[int, list[int]] = {}
+    for i, level in enumerate(alphabet.levels):
+        by_level.setdefault(level, []).append(i)
+
     def group_ids(name: str) -> list[int]:
         low = name.lower()
         if low == "all":
-            return list(range(len(alphabet)))
+            return everything
         if low == "sigma":
             level = 1
         elif low[0] in "sl" and low[1:].isdigit():
             level = int(low[1:])
         else:
             raise ValueError(f"unknown letter group {name!r}")
-        ids = [i for i in range(len(alphabet)) if alphabet.levels[i] == level]
-        if not ids:
+        if level not in by_level:
             raise ValueError(f"letter group {name!r} is empty")
-        return ids
+        return by_level[level]
 
-    def parse_expr() -> tuple:
-        head = take().lower()
-        if head == "tower":
-            take("(")
-            inner = parse_expr()
-            groups = []
-            while peek() == ",":
-                take(",")
-                groups.append(take())
-            take(")")
-            if not groups:
-                raise ValueError("tower needs at least one letter group")
-            return ("tower", inner, groups)
-        if head not in ("deglex", "inlex", "deginlex"):
-            raise ValueError(f"unknown order {head!r}")
-        group = None
-        if peek() == "(":
-            take("(")
-            group = take()
-            take(")")
-        return (head, group)
-
-    base_classes = {"deglex": DegLex, "inlex": InLex, "deginlex": DegInLex}
-
-    def bind(node: tuple, taken: set[int]) -> OrderSpec:
-        if node[0] == "tower":
-            _, inner, groups = node
-            resolved = [group_ids(gname) for gname in groups]
-            claimed = set().union(*[set(r) for r in resolved])
-            spec = bind(inner, taken | claimed)
-            for ids in resolved:
-                spec = Tower(spec, ranking_of(sorted(ids)))
-            return spec
-        head, gname = node
-        if gname is None:
-            ids = [i for i in range(len(alphabet)) if i not in taken]
-        else:
-            ids = group_ids(gname)
-        return base_classes[head](ranking_of(sorted(ids)))
-
-    try:
-        tree = parse_expr()
-        if pos != len(tokens):
-            raise ValueError(f"trailing tokens in order spec {text!r}")
-        return bind(tree, set())
-    except RecursionError:
-        raise ValueError("order spec is nested too deeply") from None
+    # outermost tower first: of several bad groups, the outermost is reported
+    resolved = [[group_ids(name) for name in groups] for groups in reversed(towers)]
+    if base_group is None:
+        # a group is one shared list: take each distinct one once
+        taken = set().union(*{id(ids): ids for groups in resolved for ids in groups}.values())
+        ids = [i for i in everything if i not in taken]
+    else:
+        ids = group_ids(base_group)
+    spec = _BASE_ORDERS[head](ranking_of(ids))
+    for groups in reversed(resolved):
+        for ids in groups:
+            spec = Tower(spec, ranking_of(ids))
+    return spec
 
 
 def parse_presentation(text: str, order: Optional[str] = None) -> Presentation:
@@ -196,10 +197,11 @@ def parse_presentation(text: str, order: Optional[str] = None) -> Presentation:
 
     if letters_decl is None:
         raise ParseError(1, "missing letters declaration")
-    if len(set(letters_decl)) != len(letters_decl):
+    declared = set(letters_decl)
+    if len(declared) != len(letters_decl):
         raise ParseError(letters_line, "duplicate letter in letters declaration")
     for name in list(inverses) + list(levels):
-        if name not in letters_decl:
+        if name not in declared:
             raise ParseError(letters_line, f"undeclared letter {name!r} in header")
     ascending = list(reversed(letters_decl))
     alphabet = Alphabet([
@@ -241,7 +243,7 @@ def parse_presentation(text: str, order: Optional[str] = None) -> Presentation:
 
 def dump_presentation(S: Presentation, title: Optional[str] = None) -> str:
     """Render a binomial presentation in the parseable file format."""
-    if S._rules is None:
+    if not S.binomial:
         raise NotBinomial("only binomial presentations have a textual dump")
     lines: list[str] = []
     if title:
@@ -300,7 +302,7 @@ def _format_order(spec: OrderSpec, alphabet: Alphabet) -> str:
         groups.append(group)
         taken.update(ids)
         spec = spec.y_order
-    text = {DegLex: "deglex", InLex: "inlex", DegInLex: "deginlex"}[type(spec)]
+    text = {cls: name for name, cls in _BASE_ORDERS.items()}[type(spec)]
     ids = ascending(spec.ranking)
     group = level_group(ids)
     unclaimed = ids == [i for i in everything if i not in taken]

@@ -182,14 +182,15 @@ def check_trivial(f: Polynomial, g: Polynomial, amb: Ambiguity, S: Presentation,
                   fuel: int = DEFAULT_FUEL) -> tuple[bool, ReductionTrace]:
     """Whether (f,g)_w reduces to zero modulo S; the trace is the evidence.
 
-    f and g are relations of S.  When S and the composition are binomial,
-    this is _branch_check on the composition's +1 and -1 terms; otherwise
-    the composition is reduced on the polynomial path.
+    f and g are relations of S, and ``fuel`` is at least 0.  When S and the
+    composition are binomial, this is _branch_check on the composition's +1
+    and -1 terms; otherwise the composition is reduced on the polynomial path.
     """
+    _check_fuel(fuel)
     comp = composition(f, g, amb, S.order)
     if comp.is_zero():
         return True, ReductionTrace([], comp, 0)
-    if S._rules is not None and sorted(comp.terms.values()) == [Fraction(-1), Fraction(1)]:
+    if S.binomial and sorted(comp.terms.values()) == [Fraction(-1), Fraction(1)]:
         u, v = sorted(comp.terms, key=comp.terms.get, reverse=True)  # +1 term, -1 term
         return _branch_check(S, amb, u, v, fuel, trace=True)
     _require_below_w(S, leading(comp, S.order)[0].letters, amb)
@@ -283,7 +284,7 @@ def _verdict(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[str]:
     """None if the composition of amb is trivial, else "nontrivial" or "fuel";
     on a binomial presentation, _branch_check's verdict on _branch_words."""
     try:
-        if S._tails is None:
+        if not S.binomial:
             ok, _ = check_trivial(S.relations[amb.left_rel], S.relations[amb.right_rel],
                                   amb, S, fuel)
         else:
@@ -316,7 +317,7 @@ def _failure(S: Presentation, amb: Ambiguity, reason: str, fuel: int) -> Verific
     """The evidence for a failed check, from the check that gave its verdict
     (a binomial fuel failure: the composition unreduced, not rewritten)."""
     f, g = S.relations[amb.left_rel], S.relations[amb.right_rel]
-    if S._tails is None:
+    if not S.binomial:
         try:
             _, trace = check_trivial(f, g, amb, S, fuel)
         except FuelExhausted as e:
@@ -416,12 +417,14 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
     earlier relations are never rewritten.  Raises Diverged when more than
     max_new additions would be needed.  When a composition reduces to a
     nonzero constant, the relation 1 is appended and completion stops: every
-    word then reduces to 0.  ``fuel`` (at least 0) bounds each reduction; a
-    relation of S with an empty leading word (a nonzero constant) raises
-    EmptyLeadingWord, a ValueError.
+    word then reduces to 0.  ``max_new`` must be at least 0.  ``fuel`` (at
+    least 0) bounds each reduction; a relation of S with an empty leading
+    word (a nonzero constant) raises EmptyLeadingWord, a ValueError.
     """
     _require_nonempty_leads(S)
     _check_fuel(fuel)
+    if max_new < 0:
+        raise ValueError(f"max_new must be at least 0, got {max_new}")
     cur = S
     log: list[CompletionEvent] = []
     queue: deque[tuple[int, int]] = deque(
@@ -459,12 +462,14 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
 def enumerate_irr(S: Presentation, max_len: int) -> list[Word]:
     """All words of length <= max_len avoiding every leading word, order-ascending.
 
-    An empty leading word (a nonzero constant) occurs in every word, so
-    then there are none."""
-    lead_set = S._lead_set
+    ``max_len`` must be at least 0.  An empty leading word (a nonzero
+    constant) occurs in every word, so then there are none."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
+    lead_set = set(S._lead)
     if () in lead_set:
         return []
-    max_lead = S._max_lead
+    max_lead = max(map(len, lead_set), default=0)
     alphabet_size = len(S.alphabet)
     frontier: list[tuple[int, ...]] = [()]
     all_words: list[tuple[int, ...]] = [()]

@@ -63,12 +63,15 @@ class Tower:
     z_ranking: Mapping[int, int]
 
     def __post_init__(self):
-        levels, spec = 1, self.y_order
+        # one walk down the chain, where domain(y_order) copies every level
+        z = self.z_ranking.keys()
+        levels, spec, overlap = 1, self.y_order, set()
         while isinstance(spec, Tower):
+            overlap |= z & spec.z_ranking.keys()
             levels, spec = levels + 1, spec.y_order
         if levels > _MAX_TOWER_LEVELS:
             raise ValueError(f"tower has more than {_MAX_TOWER_LEVELS} levels")
-        overlap = set(self.z_ranking) & domain(self.y_order)
+        overlap |= z & spec.ranking.keys()
         if overlap:
             raise ValueError(f"tower Y and Z letter sets overlap: {sorted(overlap)}")
 

@@ -162,8 +162,7 @@ class Presentation:
     """
 
     __slots__ = ("alphabet", "order", "relations", "families", "order_text",
-                 "_lead", "_lead_s", "_lead_set", "_max_lead", "_tails", "_rules",
-                 "_word_eng", "_monomial")
+                 "_lead", "_lead_s", "_tails", "_word_eng", "_monomial")
 
     def __init__(self, alphabet: Alphabet, order: OrderSpec,
                  relations: Iterable[Polynomial], families: Optional[Sequence[str]] = None,
@@ -196,23 +195,10 @@ class Presentation:
         self._monomial = _is_monomial(order)
         self._lead = tuple(leads)
         self._lead_s = tuple(map(_encode, leads))
-        self._lead_set = frozenset(leads)
-        self._max_lead = max((len(t) for t in leads), default=0)
-        # tails and word-rewriting rules exist iff every relation is binomial
-        # with coefficients 1, -1
-        tails: Optional[list[tuple[int, ...]]] = []
-        for i, p in enumerate(rels):
-            if len(p.terms) != 2:
-                tails = None
-                break
-            (rhs,) = [t for t in p.terms if t != self._lead[i]]
-            if p.terms[rhs] != -1:
-                tails = None
-                break
-            tails.append(rhs)
-        self._tails = tuple(tails) if tails is not None else None
-        self._rules = (tuple(zip(self._lead_s, map(_encode, tails)))
-                       if tails is not None else None)
+        # tails exist iff every relation is binomial with coefficients 1, -1
+        rests = [[t for t in p.terms if t != lead] for p, lead in zip(rels, leads)]
+        binomial = all(len(r) == 1 and p.terms[r[0]] == -1 for p, r in zip(rels, rests))
+        self._tails = tuple(r[0] for r in rests) if binomial else None
         self._word_eng: Optional[_WordEngine] = None
 
     @classmethod
@@ -234,14 +220,14 @@ class Presentation:
 
     @property
     def binomial(self) -> bool:
-        return self._rules is not None
+        return self._tails is not None
 
     def _engine(self) -> "_WordEngine":
         """The cached word-rewriting scheduler; requires a binomial presentation."""
-        if self._rules is None:
+        if not self.binomial:
             raise NotBinomial("presentation has a relation that is not of the form u - v")
         if self._word_eng is None:
-            self._word_eng = _WordEngine(self._rules)
+            self._word_eng = _WordEngine(self._lead_s, tuple(map(_encode, self._tails)))
         return self._word_eng
 
     def lead(self, i: int) -> Word:
@@ -365,11 +351,12 @@ class _WordEngine:
 
     __slots__ = ("trie", "max_lhs", "leads", "rules")
 
-    def __init__(self, rules: Sequence[tuple[str, str]]):
-        self.max_lhs = max((len(lhs) for lhs, _ in rules), default=1)
-        self.leads = tuple(lhs for lhs, _ in rules)
+    def __init__(self, leads: Sequence[str], tails: Sequence[str]):
+        """Rule i rewrites the encoded word leads[i] to tails[i]."""
+        self.max_lhs = max(map(len, leads), default=1)
+        self.leads = leads
         self.rules = tuple((idx, lhs, rhs, len(rhs) < len(lhs))
-                           for idx, (lhs, rhs) in enumerate(rules))
+                           for idx, (lhs, rhs) in enumerate(zip(leads, tails)))
         root: dict = {}
         for rule in self.rules:
             node = root
@@ -383,7 +370,7 @@ class _WordEngine:
             own = node.pop("", None)
             if own is not None and (best is None or own[0] < best[0]):
                 best = own
-            low = own[0] if own is not None else len(rules)
+            low = own[0] if own is not None else len(leads)
             out: dict = {}
             for ch, child in node.items():
                 sub, sub_low = build(child, best)

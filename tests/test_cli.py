@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -530,6 +531,73 @@ def test_towers_of_more_than_512_levels_exit_two(tmp_path, capsys, levels):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 3: tower has more than 512 levels\n"
+
+
+def test_a_20000_level_tower_file_is_refused_quickly(tmp_path, capsys):
+    path = _write(tmp_path, _flat_tower(20000))
+    start = time.perf_counter()
+    assert main(["dump-presentation", "--presentation", path]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: tower has more than 512 levels\n"
+    assert elapsed < 5  # the file is read in one linear pass
+
+
+def _nest(flat: str, sizes: list[int]) -> str:
+    """The tower text ``tower(BASE, G1, ..., Gk)`` spelled as nested towers
+    holding sizes[0], sizes[1], ... of its groups, innermost first."""
+    base, *groups = flat[len("tower("):-1].split(", ")
+    assert sum(sizes) == len(groups)
+    text = base
+    for size in sizes:
+        text = f"tower({text}, {', '.join(groups[:size])})"
+        groups = groups[size:]
+    return text
+
+
+def test_nested_and_flat_braid_orders_are_equal():
+    for n in range(2, 9):
+        scheme = braid_scheme(n)
+        flat = scheme.order_text
+        nested = _nest(flat, [1] * flat.count(","))
+        assert nested.startswith("tower(tower(") or n == 2
+        for text in (flat, nested):
+            assert cli._parse_order_text(text, scheme.alphabet) == scheme.order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hand_built(), st.data())
+def test_nested_and_flat_tower_spellings_parse_to_equal_orders(S, data):
+    flat = cli._format_order(S.order, S.alphabet)
+    assert cli._parse_order_text(flat, S.alphabet) == S.order
+    if flat.startswith("tower("):
+        cuts = data.draw(st.lists(st.booleans(), min_size=flat.count(",") - 1,
+                                  max_size=flat.count(",") - 1))
+        sizes = [1]
+        for cut in cuts:
+            if cut:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        assert cli._parse_order_text(_nest(flat, sizes), S.alphabet) == S.order
+
+
+def test_towers_nested_more_than_512_deep_exit_two(tmp_path, capsys):
+    for levels in (512, 513):
+        flat = _flat_tower(levels)
+        order_line = flat.splitlines()[2]
+        nested = flat.replace(order_line, "order: " + _nest(order_line[len("order: "):],
+                                                            [1] * levels))
+        if levels == 512:
+            # _format_order walks the chain; == on such deep towers recurses
+            orders = [(S.order, S.alphabet) for S in map(parse_presentation, (flat, nested))]
+            assert cli._format_order(*orders[0]) == cli._format_order(*orders[1])
+            continue
+        assert main(["dump-presentation", "--presentation", _write(tmp_path, nested)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: order spec is nested too deeply\n"
 
 
 # --- malformed files ------------------------------------------------------------

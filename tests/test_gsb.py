@@ -259,6 +259,33 @@ def test_negative_fuel_is_rejected():
         with pytest.raises(ValueError, match="fuel"):
             run(S3, fuel=-1)
     assert verify_gsb(S3, fuel=0).ambiguities_checked == 73  # fuel 0 stays valid
+    ab, order = _toy("x")
+    trinomial = Presentation(ab, order, [Polynomial.from_word(ab.word("x x"))
+                                         - Polynomial.from_word(ab.word("x"))
+                                         - Polynomial.from_word(ab.empty_word())])
+    for S in (S3, trinomial):
+        assert S.binomial == (S is S3)
+        i, amb = next((i, amb) for i in range(len(S))
+                      for amb in enumerate_ambiguities(S.lead(i), S.lead(i), i, i))
+        f = S.relations[i]
+        with pytest.raises(ValueError, match="fuel"):
+            check_trivial(f, f, amb, S, fuel=-1)
+        try:
+            check_trivial(f, f, amb, S, fuel=0)
+        except FuelExhausted as e:
+            assert e.fuel_used == 0
+
+
+def test_negative_bounds_are_rejected():
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_irr(S3, -3)
+    with pytest.raises(ValueError, match="max_new"):
+        complete(S3, max_new=-1)
+    # bound 0 stays valid
+    assert enumerate_irr(S3, 0) == [W3("")]
+    ab, order = _toy("x")
+    S = _binomial(ab, order, ("x x", "x"))
+    assert complete(S, max_new=0) == (S, [])
 
 
 def test_verification_rejects_fewer_than_one_job():
