@@ -50,7 +50,7 @@ from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
 from .gsb import (Diverged, _check_row, _failure, _require_nonempty_leads, _rows,
                   _scope_set, complete, enumerate_irr, verify_gsb)
-from .orders import _MAX_TOWER_LEVELS, DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
+from .orders import _MAX_TOWER_LEVELS, _levels, DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
 from .reduction import (_STRATEGIES, DEFAULT_FUEL, DEFAULT_STRATEGY, FuelExhausted,
                         NotBinomial, Presentation, format_polynomial, word_nf)
 
@@ -294,16 +294,16 @@ def _format_order(spec: OrderSpec, alphabet: Alphabet) -> str:
     everything = list(range(len(alphabet)))
     groups: list[str] = []
     taken: set[int] = set()
-    while isinstance(spec, Tower):
-        ids = ascending(spec.z_ranking)
+    base, z_rankings = _levels(spec)
+    for z_ranking in reversed(z_rankings):  # outermost first, as errors are reported
+        ids = ascending(z_ranking)
         group = level_group(ids) or ("all" if ids == everything else None)
         if group is None:
             raise ValueError(f"no letter group names the tower letters {ids}")
         groups.append(group)
         taken.update(ids)
-        spec = spec.y_order
-    text = {cls: name for name, cls in _BASE_ORDERS.items()}[type(spec)]
-    ids = ascending(spec.ranking)
+    text = {cls: name for name, cls in _BASE_ORDERS.items()}[type(base)]
+    ids = ascending(base.ranking)
     group = level_group(ids)
     unclaimed = ids == [i for i in everything if i not in taken]
     if group is None and not unclaimed:

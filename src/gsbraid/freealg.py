@@ -187,6 +187,7 @@ def expand_brace(a: Word, b: Word) -> Word:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class Polynomial:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -363,6 +362,7 @@ def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
     rows = _rows(S, _scope_set(scope, S.families))
     jobs = min(jobs, os.cpu_count() or 1, len(rows))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when used
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(S, fuel)) as pool:
             chunk = max(1, len(rows) // (jobs * 8))

@@ -10,9 +10,10 @@ Four order specs are provided:
   A word factors uniquely as u = u_0 z_1 u_1 ... z_k u_k with z_i in Z and
   u_i free of Z letters; its inverse weight is the tuple
   inwt(u) = (k, u_k, z_k, ..., u_1, z_1, u_0), and words compare by their
-  inverse weights lexicographically: k as integers, factors u_i
-  recursively by the Y order (itself possibly a Tower), letters z_i by the
-  Z ranking.
+  inverse weights lexicographically: k as integers, factors u_i by the
+  Y order (itself possibly a Tower), letters z_i by the Z ranking.
+  A chain of towers is stored flat: one base order and the tuple of Z
+  rankings, innermost first, and compared by one loop down that tuple.
 
 Rankings map letter ids to rank integers; a larger rank is a larger
 letter.  Every spec is an immutable value; ``compare`` returns one of the
@@ -28,8 +29,8 @@ from .freealg import Word
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-# compare_ids and domain recurse once per tower level; this many levels
-# stay well inside the interpreter's default limit of 1,000 frames
+# a Tower copies and overlap-checks the levels below it, so a chain costs the
+# square of its length to build; the reader refuses deeper nests as it reads
 _MAX_TOWER_LEVELS = 512
 
 
@@ -57,26 +58,32 @@ class DegInLex:
     ranking: Mapping[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tower:
-    y_order: "OrderSpec"
-    z_ranking: Mapping[int, int]
+    """Tower(y_order, z_ranking), stored flat: the base order under y_order, and
+    the Z rankings of y_order's levels, innermost first, then z_ranking."""
 
-    def __post_init__(self):
-        # one walk down the chain, where domain(y_order) copies every level
-        z = self.z_ranking.keys()
-        levels, spec, overlap = 1, self.y_order, set()
-        while isinstance(spec, Tower):
-            overlap |= z & spec.z_ranking.keys()
-            levels, spec = levels + 1, spec.y_order
-        if levels > _MAX_TOWER_LEVELS:
+    base: DegLex | InLex | DegInLex
+    z_rankings: tuple[Mapping[int, int], ...]
+
+    def __init__(self, y_order: "OrderSpec", z_ranking: Mapping[int, int]):
+        base, below = _levels(y_order)
+        if len(below) >= _MAX_TOWER_LEVELS:
             raise ValueError(f"tower has more than {_MAX_TOWER_LEVELS} levels")
-        overlap |= z & spec.ranking.keys()
+        z = z_ranking.keys()
+        overlap = set(z & base.ranking.keys()).union(*(z & r.keys() for r in below))
         if overlap:
             raise ValueError(f"tower Y and Z letter sets overlap: {sorted(overlap)}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "z_rankings", below + (z_ranking,))
 
 
 OrderSpec = Union[DegLex, InLex, DegInLex, Tower]
+
+
+def _levels(spec: OrderSpec) -> tuple[DegLex | InLex | DegInLex, tuple[Mapping[int, int], ...]]:
+    """The base order and the Z rankings (innermost first) of any spec."""
+    return (spec.base, spec.z_rankings) if isinstance(spec, Tower) else (spec, ())
 
 
 @dataclass(frozen=True)
@@ -104,9 +111,8 @@ class InverseWeight:
 
 def domain(spec: OrderSpec) -> frozenset[int]:
     """The set of letter ids the spec can compare."""
-    if isinstance(spec, Tower):
-        return domain(spec.y_order) | frozenset(spec.z_ranking)
-    return frozenset(spec.ranking)
+    base, z_rankings = _levels(spec)
+    return frozenset(base.ranking).union(*z_rankings)
 
 
 def _is_monomial(spec: OrderSpec) -> bool:
@@ -116,9 +122,7 @@ def _is_monomial(spec: OrderSpec) -> bool:
     it has two letters (with y < x: 1 < y but x > x.y), and neither is a
     tower over it; both answer False here.
     """
-    while isinstance(spec, Tower):
-        spec = spec.y_order
-    return not isinstance(spec, InLex)
+    return not isinstance(_levels(spec)[0], InLex)
 
 
 def _split(letters: tuple[int, ...], z_ranking: Mapping[int, int]):
@@ -139,21 +143,23 @@ def _split(letters: tuple[int, ...], z_ranking: Mapping[int, int]):
 
 def compare_ids(spec: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     """Comparison on raw letter-id tuples; membership validation is the caller's job."""
-    if isinstance(spec, Tower):
-        zu, fu = _split(u, spec.z_ranking)
-        zv, fv = _split(v, spec.z_ranking)
+    spec, z_rankings = _levels(spec)
+    # from the outermost level in: equal factors compare EQUAL, so only the
+    # first differing factor pair from the right goes on to the next level
+    for zrank in reversed(z_rankings):
+        if zrank.keys().isdisjoint(u) and zrank.keys().isdisjoint(v):
+            continue
+        zu, fu = _split(u, zrank)
+        zv, fv = _split(v, zrank)
         if len(zu) != len(zv):
             return LESS if len(zu) < len(zv) else GREATER
-        y = spec.y_order
-        zrank = spec.z_ranking
-        for i in range(len(zu), 0, -1):
-            c = compare_ids(y, fu[i], fv[i])
-            if c:
-                return c
+        i = len(zu)
+        while i and fu[i] == fv[i]:
             ru, rv = zrank[zu[i - 1]], zrank[zv[i - 1]]
             if ru != rv:
                 return LESS if ru < rv else GREATER
-        return compare_ids(y, fu[0], fv[0])
+            i -= 1
+        u, v = fu[i], fv[i]
     rank = spec.ranking
     if isinstance(spec, (DegLex, DegInLex)):
         if len(u) != len(v):
@@ -191,16 +197,12 @@ def decompose(spec: Tower, w: Word) -> InverseWeight:
     if not isinstance(spec, Tower):
         raise TypeError("decompose requires a Tower spec")
     _check_domain(spec, w)
-    zs, factors = _split(w.letters, spec.z_ranking)
+    zs, factors = _split(w.letters, spec.z_rankings[-1])
     alphabet = w.alphabet
-    components: list = [Word(alphabet, factors[-1])]
+    components: list = []
     for i in range(len(zs), 0, -1):
-        if i < len(zs):
-            components.append(Word(alphabet, factors[i]))
-        components.append(alphabet.letters[zs[i - 1]])
-    # components currently (u_k, z_k, u_{k-1}, ..., z_1); append u_0
-    if zs:
-        components.append(Word(alphabet, factors[0]))
+        components += [Word(alphabet, factors[i]), alphabet.letters[zs[i - 1]]]
+    components.append(Word(alphabet, factors[0]))
     return InverseWeight(k=len(zs), components=tuple(components))
 
 

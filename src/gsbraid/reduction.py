@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .freealg import Alphabet, Polynomial, Word, _join_terms
+from .freealg import _MINUS_ONE, _ONE, Alphabet, Polynomial, Word, _join_terms, _same_alphabet
 from .orders import GREATER, LESS, ForeignLetter, OrderSpec, _is_monomial, compare_ids, domain
 
 
@@ -211,7 +211,8 @@ class Presentation:
         for i, (lhs, rhs) in enumerate(pairs):
             if lhs.letters == rhs.letters:
                 raise OrientationError(i, f" ({lhs} vs {rhs})")
-            polys.append(Polynomial.from_word(lhs) - Polynomial.from_word(rhs))
+            _same_alphabet(lhs, rhs)
+            polys.append(Polynomial(lhs.alphabet, {lhs.letters: _ONE, rhs.letters: _MINUS_ONE}))
         S = cls(alphabet, order, polys, families, order_text)
         for i, (lhs, rhs) in enumerate(pairs):
             if S._lead[i] != lhs.letters:

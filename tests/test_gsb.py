@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -313,7 +317,7 @@ def test_verification_jobs_are_capped_by_cpus_and_rows(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(gsb, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(gsb, "_WORKER_STATE", {})
     monkeypatch.setattr(gsb.os, "cpu_count", lambda: 4)
     serial = verify_gsb(S3).to_json_dict()
@@ -327,15 +331,35 @@ def test_verification_jobs_are_capped_by_cpus_and_rows(monkeypatch):
     assert started == [4, 2]  # an unknown CPU count runs serially
 
 
+def _flat_tower(levels: int) -> Presentation:
+    """Two relations x_k x0 = x0 x_k over a tower of one-letter levels
+    x1 < ... < x<levels> above the base letter x0."""
+    ab = Alphabet([Letter(f"x{i}") for i in range(levels + 1)])
+    order = DegLex(ranking_of([0]))
+    for level in range(1, levels + 1):
+        order = Tower(order, ranking_of([level]))
+    pairs = [(Word(ab, (k, 0)), Word(ab, (0, k))) for k in (levels - 1, levels)]
+    return Presentation.from_oriented(ab, order, pairs)
+
+
 def test_verification_under_the_spawn_start_method(monkeypatch):
     # spawn (the default on macOS and Windows, and on Linux from Python
     # 3.14) pickles the presentation into every worker
     spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(gsb, "ProcessPoolExecutor",
-                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
     monkeypatch.setattr(gsb.os, "cpu_count", lambda: 2)
-    S = artin_markov(4)
-    assert verify_gsb(S, jobs=2) == verify_gsb(S)
+    for S in (artin_markov(4), _flat_tower(450)):
+        assert verify_gsb(S, jobs=2) == verify_gsb(S)
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    # the process pool is imported by the verify_gsb call that uses it
+    code = "import sys, gsbraid, gsbraid.cli; sys.exit('multiprocessing' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(Path(gsb.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0
 
 
 # x . y = x . y . y is oriented under inlex (y < x), but the inclusion of

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsbraid import (
     EQUAL,
@@ -80,14 +84,31 @@ def test_tower_rejects_overlapping_letter_sets():
         Tower(DegLex(ranking_of([0, 1])), ranking_of([1, 2]))
 
 
-def test_tower_depth_is_capped_at_512_levels():
-    # comparisons recurse once per level, so the cap keeps them off the stack limit
+def _chain(levels: int) -> Tower:
+    """A tower of one-letter levels 1 < ... < levels over the base letter 0."""
     spec = DegLex(ranking_of([0]))
-    for level in range(1, 513):
+    for level in range(1, levels + 1):
         spec = Tower(spec, ranking_of([level]))
+    return spec
+
+
+def test_tower_depth_is_capped_at_512_levels():
+    # each level copies and overlap-checks the levels below it, so the cap
+    # bounds the cost of building a chain (and of reading one from a file)
+    spec = _chain(512)
     assert compare_ids(spec, (512, 0), (0, 512)) == GREATER
     with pytest.raises(ValueError, match="tower has more than 512 levels"):
         Tower(spec, ranking_of([513]))
+
+
+def test_a_512_level_tower_is_one_flat_value():
+    spec = _chain(512)
+    assert spec.base == DegLex({0: 0})
+    assert spec.z_rankings == tuple({level: 0} for level in range(1, 513))
+    assert spec == _chain(512) and spec != _chain(511)
+    assert repr(spec).startswith("Tower(base=DegLex(ranking={0: 0}), z_rankings=({1: 0}, {2: 0}, ")
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert copy.deepcopy(spec) == spec
 
 
 def test_scheme_letter_ranking_within_blocks():
@@ -252,3 +273,82 @@ def test_inlex_and_towers_over_it_are_not_monomial():
     for spec in (DegLex(r), DegInLex(r), Tower(DegInLex(ranking_of([0])), ranking_of([1])),
                  braid_scheme(4).order):
         assert _is_monomial(spec)
+
+
+# ------------------------------------------- compare_ids against the definition
+
+
+def _base_key(base, w) -> tuple:
+    ranks = [base.ranking[x] for x in w]
+    if isinstance(base, InLex):
+        return tuple(ranks[::-1])  # from the last letter; a proper suffix is smaller
+    return (len(w), ranks if isinstance(base, DegLex) else ranks[::-1])
+
+
+def _inverse_weight(w, z_ranking) -> list:
+    """inwt(w) = [k, u_k, z_k, ..., u_1, z_1, u_0] for w = u_0 z_1 u_1 ... z_k u_k."""
+    zs, factors = [], [[]]
+    for x in w:
+        if x in z_ranking:
+            zs.append(x)
+            factors.append([])
+        else:
+            factors[-1].append(x)
+    weight = [len(zs)]
+    for i in range(len(zs), 0, -1):
+        weight += [factors[i], zs[i - 1]]
+    return weight + [factors[0]]
+
+
+def _reference(base, z_rankings, u, v) -> int:
+    """The inverse tower order from its definition: inverse weights compared
+    lexicographically, factors recursively by the tower of the levels below."""
+    if not z_rankings:
+        a, b = _base_key(base, u), _base_key(base, v)
+        return (a > b) - (a < b)
+    *below, z_ranking = z_rankings
+    wu, wv = _inverse_weight(u, z_ranking), _inverse_weight(v, z_ranking)
+    if wu[0] != wv[0]:
+        return LESS if wu[0] < wv[0] else GREATER
+    for i, (a, b) in enumerate(zip(wu[1:], wv[1:])):
+        if i % 2 == 0:
+            c = _reference(base, below, a, b)
+        else:
+            c = (z_ranking[a] > z_ranking[b]) - (z_ranking[a] < z_ranking[b])
+        if c:
+            return c
+    return EQUAL
+
+
+@st.composite
+def _orders_and_words(draw):
+    """A tower order, the base and Z rankings it is built from, and two words
+    u = p.a.s and v = p.b.s (p, a, b, s random, so the pair often shares parts)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        scheme = braid_scheme(n)
+        levels = scheme.alphabet.levels
+        size, ranked = len(levels), range(len(levels))
+        kind, level_order, spec = DegInLex, [n, *range(n - 1, 1, -1), 1], scheme.order
+    else:
+        size, depth = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+        levels = draw(st.lists(st.integers(0, depth), min_size=size, max_size=size))
+        ranked = draw(st.permutations(range(size)))  # letters in ascending rank
+        kind = draw(st.sampled_from([DegLex, InLex, DegInLex]))
+        level_order, spec = range(depth + 1), None
+    # the base's letters, then each Z level's, innermost first; a level may be empty
+    groups = [ranking_of(x for x in ranked if levels[x] == lv) for lv in level_order]
+    base, z_rankings = kind(groups[0]), groups[1:]
+    if spec is None:
+        spec = base
+        for z_ranking in z_rankings:
+            spec = Tower(spec, z_ranking)
+    p, a, b, s = (tuple(draw(st.lists(st.integers(0, size - 1), max_size=5))) for _ in range(4))
+    return spec, base, z_rankings, p + a + s, p + b + s
+
+
+@settings(max_examples=500, deadline=None)
+@given(_orders_and_words())
+def test_compare_ids_follows_the_recursive_inverse_weight_definition(case):
+    spec, base, z_rankings, u, v = case
+    assert compare_ids(spec, u, v) == _reference(base, z_rankings, u, v)
