@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 from .braid import artin_markov, artin_to_s, braid_scheme
 from .freealg import Alphabet, Letter, Word
-from .gsb import (Diverged, _check_row, _failure, _require_nonempty_leads, _rows,
+from .gsb import (Diverged, _check_row, _require_nonempty_leads, _rows,
                   _scope_set, complete, enumerate_irr, verify_gsb)
 from .orders import _MAX_TOWER_LEVELS, _levels, DegInLex, DegLex, InLex, OrderSpec, Tower, ranking_of
 from .reduction import (_STRATEGIES, DEFAULT_FUEL, DEFAULT_STRATEGY, FuelExhausted,
@@ -375,27 +375,23 @@ def _cmd_compositions(args) -> int:
     S, _ = _load_presentation(args)
     _require_nonempty_leads(S)
     scope, fams = args.scope, S.families
-    instances = []
-    exhausted = 0
-    nontrivial = 0
+    instances, reasons = [], []
     for i, js in _rows(S, _scope_set(scope, fams)):
-        for _, j, amb, reason in _check_row(S, i, js, args.fuel):
-            if reason is None:
+        for j, amb, failure in _check_row(S, i, js, args.fuel):
+            reasons.append(failure.reason if failure else None)
+            if failure is None:
                 remainder = "0"
-            elif reason == "fuel" and S.binomial:
+            elif failure.reason == "fuel" and S.binomial:
                 remainder = "(fuel exhausted)"  # the word path keeps no partial remainder
             else:
-                remainder = format_polynomial(_failure(S, amb, reason, args.fuel).remainder,
-                                              S.order)
-            exhausted += reason == "fuel"
-            nontrivial += reason == "nontrivial"
+                remainder = format_polynomial(failure.remainder, S.order)
             instances.append({
                 "families": f"{fams[i]},{fams[j]}",
                 "kind": amb.kind,
                 "left": i,
                 "right": j,
                 "w": str(amb.w),
-                "trivial": reason is None,
+                "trivial": failure is None,
                 "remainder": remainder,
             })
     if args.json:
@@ -406,10 +402,8 @@ def _cmd_compositions(args) -> int:
         for inst in instances:
             status = "trivial" if inst["trivial"] else f"NONTRIVIAL: {inst['remainder']}"
             print(f"({inst['families']}) {inst['kind']} w = {inst['w']} -> {status}")
-        print(f"ambiguities checked: {len(instances)}, nontrivial: {nontrivial}")
-    if nontrivial:
-        return 1
-    return 3 if exhausted else 0
+        print(f"ambiguities checked: {len(instances)}, nontrivial: {reasons.count('nontrivial')}")
+    return 1 if "nontrivial" in reasons else 3 if "fuel" in reasons else 0
 
 
 def _cmd_complete(args) -> int:

@@ -113,9 +113,11 @@ class Alphabet:
         return f"Alphabet({len(self.letters)} letters)"
 
 
-def _same_alphabet(u: Word, v: Word) -> None:
+def _same_alphabet(u, v) -> None:
+    """u and v (words, polynomials or presentations) share one alphabet;
+    the identity test comes first, so a shared object costs one comparison."""
     if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
-        raise AlphabetMismatch("words come from different alphabets")
+        raise AlphabetMismatch(f"{type(u).__name__} and {type(v).__name__} come from different alphabets")
 
 
 class Word:

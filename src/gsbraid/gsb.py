@@ -15,13 +15,13 @@ full-length self-inclusion (zero polynomial).
 A composition is trivial when it reduces to zero; since every reduction
 step rewrites below w, a zero normal form witnesses the required
 expansion sum(alpha_i a_i s_i b_i) with a_i s̄_i b_i < w.  verify_gsb
-checks every ambiguity of every ordered relation pair; the report is
-deterministic regardless of worker count.  On binomial presentations
-verdicts, check_trivial and failure evidence share one check: it rewrites
-the two branch words of the composition on the word fast path and
-compares their normal forms; its trace concatenates both rewrite
-sequences and replays soundly on the composition polynomial (steps on
-cancelled terms are no-ops).  A fuel failure is reported unreduced.
+checks every ambiguity of every ordered relation pair with one check,
+_check: None for a trivial composition, else the failure with its
+evidence.  Workers send back only failures; the report does not depend on
+their number.  On binomial presentations the check rewrites the two branch
+words on the word fast path and compares their normal forms; its trace
+concatenates both rewrite sequences and replays soundly on the composition
+polynomial (steps on cancelled terms are no-ops).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .freealg import Polynomial, Word
@@ -279,25 +278,32 @@ def _rows(S: Presentation, scopes: Optional[set[tuple[str, str]]]
     return [(i, js) for i, js in rows if js]
 
 
-def _verdict(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[str]:
-    """None if the composition of amb is trivial, else "nontrivial" or "fuel";
-    on a binomial presentation, _branch_check's verdict on _branch_words."""
+def _check(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[VerificationFailure]:
+    """None when amb's composition is trivial, else the failure with its evidence.
+
+    On a binomial presentation the verdict is _branch_check on _branch_words;
+    a nontrivial composition is rewritten once more with a trace, and a fuel
+    failure is reported unreduced.  Otherwise one check_trivial call gives
+    both the verdict and the evidence (on fuel exhaustion, the trace it raised).
+    """
+    f, g = S.relations[amb.left_rel], S.relations[amb.right_rel]
     try:
         if not S.binomial:
-            ok, _ = check_trivial(S.relations[amb.left_rel], S.relations[amb.right_rel],
-                                  amb, S, fuel)
-        else:
-            ok, _ = _branch_check(S, amb, *_branch_words(S, amb), fuel)
-    except FuelExhausted:
-        return "fuel"
-    return None if ok else "nontrivial"
+            ok, trace = check_trivial(f, g, amb, S, fuel)
+        elif _branch_check(S, amb, *_branch_words(S, amb), fuel)[0]:
+            return None
+        else:  # nontrivial: the evidence is one more rewrite, traced
+            ok, trace = _branch_check(S, amb, *_branch_words(S, amb), fuel, trace=True)
+    except FuelExhausted as e:
+        trace = ReductionTrace([], composition(f, g, amb, S.order), fuel) if S.binomial else e.trace
+        return VerificationFailure(amb, trace.result, trace, "fuel")
+    return None if ok else VerificationFailure(amb, trace.result, trace)
 
 
 def _check_row(S: Presentation, i: int, js: Iterable[int], fuel: int
-               ) -> Iterator[tuple[int, int, Ambiguity, Optional[str]]]:
+               ) -> Iterator[tuple[int, Ambiguity, Optional[VerificationFailure]]]:
     """Check every ambiguity of the ordered pairs (i, j), j in js, in
-    enumeration order; yields (i, j, ambiguity, reason), where reason is
-    None for a trivial composition, "nontrivial" or "fuel".
+    enumeration order; yields (j, ambiguity, _check's failure or None).
 
     A pair is skipped when the first letter of lead j does not occur in
     lead i: an intersection or an inclusion would put it there.  Leading
@@ -309,36 +315,20 @@ def _check_row(S: Presentation, i: int, js: Iterable[int], fuel: int
     for j in js:
         if leads[j][0] in fi:
             for amb in enumerate_ambiguities(li, S.lead(j), i, j):
-                yield i, j, amb, _verdict(S, amb, fuel)
-
-
-def _failure(S: Presentation, amb: Ambiguity, reason: str, fuel: int) -> VerificationFailure:
-    """The evidence for a failed check, from the check that gave its verdict
-    (a binomial fuel failure: the composition unreduced, not rewritten)."""
-    f, g = S.relations[amb.left_rel], S.relations[amb.right_rel]
-    if not S.binomial:
-        try:
-            _, trace = check_trivial(f, g, amb, S, fuel)
-        except FuelExhausted as e:
-            trace = e.trace
-    elif reason == "fuel":
-        trace = ReductionTrace([], composition(f, g, amb, S.order), fuel)
-    else:
-        _, trace = _branch_check(S, amb, *_branch_words(S, amb), fuel, trace=True)
-    return VerificationFailure(amb, trace.result, trace, reason)
+                yield j, amb, _check(S, amb, fuel)
 
 
 _WORKER_STATE: dict = {}
 
 
 def _init_worker(S: Presentation, fuel: int) -> None:
-    _WORKER_STATE["S"] = S
-    _WORKER_STATE["fuel"] = fuel
+    _WORKER_STATE.update(S=S, fuel=fuel)
 
 
-def _row_task(row: tuple[int, Sequence[int]]):
-    i, js = row
-    return list(_check_row(_WORKER_STATE["S"], i, js, _WORKER_STATE["fuel"]))
+def _row_task(row: tuple[int, Sequence[int]]) -> list[tuple[int, Optional[VerificationFailure]]]:
+    """(j, failure) per check of the row: a trivial check crosses back as (j, None)."""
+    return [(j, failure) for j, _, failure in
+            _check_row(_WORKER_STATE["S"], *row, _WORKER_STATE["fuel"])]
 
 
 def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
@@ -366,20 +356,21 @@ def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(S, fuel)) as pool:
             chunk = max(1, len(rows) // (jobs * 8))
-            checks = chain.from_iterable(list(pool.map(_row_task, rows, chunksize=chunk)))
+            done = list(pool.map(_row_task, rows, chunksize=chunk))
+        checks = ((i, j, failure) for (i, _), row in zip(rows, done) for j, failure in row)
     else:
-        checks = chain.from_iterable(_check_row(S, i, js, fuel) for i, js in rows)
+        checks = ((i, j, failure) for i, js in rows for j, _, failure in _check_row(S, i, js, fuel))
 
     fams = S.families
     ambiguities = 0
     matrix: dict[tuple[str, str], int] = {}
     failures: list[VerificationFailure] = []
-    for i, j, amb, reason in checks:
+    for i, j, failure in checks:
         ambiguities += 1
         key = (fams[i], fams[j])
         matrix[key] = matrix.get(key, 0) + 1
-        if reason is not None:
-            failures.append(_failure(S, amb, reason, fuel))
+        if failure is not None:
+            failures.append(failure)
     return VerificationReport(pairs_checked=sum(len(js) for _, js in rows),
                               ambiguities_checked=ambiguities,
                               failures=tuple(failures), family_matrix=matrix, order=S.order)
@@ -459,11 +450,15 @@ def complete(S: Presentation, max_new: int = 100, fuel: int = DEFAULT_FUEL
     return cur, log
 
 
+IRR_LIMIT = 10**6  # the most words enumerate_irr holds (B_3: 50,448 at max_len 8)
+
+
 def enumerate_irr(S: Presentation, max_len: int) -> list[Word]:
     """All words of length <= max_len avoiding every leading word, order-ascending.
 
     ``max_len`` must be at least 0.  An empty leading word (a nonzero
-    constant) occurs in every word, so then there are none."""
+    constant) occurs in every word, so then there are none.  More than
+    IRR_LIMIT words raise ValueError as soon as they are found."""
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
     lead_set = set(S._lead)
@@ -471,11 +466,12 @@ def enumerate_irr(S: Presentation, max_len: int) -> list[Word]:
         return []
     max_lead = max(map(len, lead_set), default=0)
     alphabet_size = len(S.alphabet)
-    frontier: list[tuple[int, ...]] = [()]
-    all_words: list[tuple[int, ...]] = [()]
+    words: list[tuple[int, ...]] = [()]
+    start = 0  # words[start:] are the words of the longest length so far
     for _ in range(max_len):
-        nxt: list[tuple[int, ...]] = []
-        for w in frontier:
+        end = len(words)
+        for k in range(start, end):
+            w = words[k]
             for x in range(alphabet_size):
                 w2 = w + (x,)
                 n2 = len(w2)
@@ -484,10 +480,11 @@ def enumerate_irr(S: Presentation, max_len: int) -> list[Word]:
                     if w2[n2 - ln:] in lead_set:
                         break
                 else:
-                    nxt.append(w2)
-        frontier = nxt
-        all_words.extend(nxt)
-        if not frontier:
+                    words.append(w2)
+            if len(words) > IRR_LIMIT:
+                raise ValueError(f"more than {IRR_LIMIT:,} irreducible words up to length {max_len}")
+        if len(words) == end:
             break
+        start = end
     key = functools.cmp_to_key(lambda a, b: compare_ids(S.order, a, b))
-    return [Word(S.alphabet, t) for t in sorted(all_words, key=key)]
+    return [Word(S.alphabet, t) for t in sorted(words, key=key)]

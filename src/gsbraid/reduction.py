@@ -153,7 +153,8 @@ def _decode(s: str) -> tuple[int, ...]:
 class Presentation:
     """An alphabet, an order, and an ordered list of monic oriented relations.
 
-    Every letter of every relation must be one the order compares
+    Every relation must be over ``alphabet`` (``AlphabetMismatch``
+    otherwise), and every letter of it one the order compares
     (``ForeignLetter`` otherwise).  ``families`` carries one label per
     relation (used for scoped verification reports); labels default to the
     1-based relation position.
@@ -173,6 +174,7 @@ class Presentation:
         leads: list[tuple[int, ...]] = []
         ranked = domain(order)
         for i, p in enumerate(relations):
+            _same_alphabet(p, self)
             if not p.terms:
                 raise ZeroPolynomial(f"relation {i} is the zero polynomial")
             stray = {x for t in p.terms for x in t} - ranked
@@ -266,7 +268,9 @@ def _find_site(s: str, leads: Sequence[str], skip: int = -1) -> Optional[tuple[i
 
 def reduce_once(p: Polynomial, S: Presentation,
                 check_descent: bool = False) -> Optional[tuple[Polynomial, ReductionStep]]:
-    """One deterministic elimination step, or None if p is supported on Irr(S)."""
+    """One deterministic elimination step, or None if p is supported on Irr(S);
+    p must be over the alphabet of S (``AlphabetMismatch`` otherwise)."""
+    _same_alphabet(p, S)
     best: Optional[tuple[int, ...]] = None
     site: Optional[tuple[int, int]] = None
     for t in p.terms:
@@ -468,9 +472,11 @@ def word_nf(w: Word, S: Presentation, fuel: int = DEFAULT_FUEL,
     the rewrite schedule, ``rightmost`` by default (see the module
     docstring); all schedules agree on the result when the relation set is
     closed under composition.  ``fuel`` (at least 0) bounds the number of
-    rewrite steps.
+    rewrite steps.  w must be over the alphabet of S (``AlphabetMismatch``
+    otherwise).
     """
     _check_fuel(fuel)
+    _same_alphabet(w, S)
     eng = S._engine()
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {tuple(_STRATEGIES)}")

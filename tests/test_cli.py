@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsbraid import cli
+from gsbraid import cli, gsb
 from gsbraid.braid import artin_markov, braid_scheme
 from gsbraid.cli import ParseError, dump_presentation, main, parse_presentation
 from gsbraid.freealg import Alphabet, Letter, Polynomial
@@ -419,6 +419,14 @@ def test_irr_json(capsys):
     assert main(["irr", "--n", "3", "--max-len", "2", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["count"] == len(blob["words"]) == 45
+
+
+def test_irr_over_the_word_limit_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(gsb, "IRR_LIMIT", 100)
+    assert main(["irr", "--n", "3", "--max-len", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than 100 irreducible words up to length 13\n"
 
 
 # --- dump-presentation ---------------------------------------------------------

@@ -31,7 +31,7 @@ from gsbraid.gsb import (
     verify_minimal,
 )
 from gsbraid.orders import GREATER, DegInLex, DegLex, InLex, Tower, compare, ranking_of
-from gsbraid.reduction import FuelExhausted, Presentation, normal_form
+from gsbraid.reduction import DEFAULT_FUEL, FuelExhausted, Presentation, normal_form
 
 S3 = artin_markov(3)
 SCH3 = braid_scheme(3)
@@ -349,8 +349,11 @@ def test_verification_under_the_spawn_start_method(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
     monkeypatch.setattr(gsb.os, "cpu_count", lambda: 2)
-    for S in (artin_markov(4), _flat_tower(450)):
-        assert verify_gsb(S, jobs=2) == verify_gsb(S)
+    # the last two have failures, which the workers build and send back
+    for S, fuel, ok in ((artin_markov(4), DEFAULT_FUEL, True), (_flat_tower(450), DEFAULT_FUEL, True),
+                        (_without_family(S3, "2"), DEFAULT_FUEL, False), (S3, 1, False)):
+        serial = verify_gsb(S, fuel)
+        assert verify_gsb(S, fuel, jobs=2) == serial and serial.ok == ok
 
 
 def test_importing_the_package_leaves_multiprocessing_unloaded():
@@ -411,16 +414,29 @@ def test_binomial_verdict_raises_exactly_when_check_trivial_does(order, pairs):
         for j in range(len(S)):
             for amb in enumerate_ambiguities(S.lead(i), S.lead(j), i, j):
                 f, g = S.relations[i], S.relations[j]
-                assert (_descent_error(lambda: check_trivial(f, g, amb, S, 50))
-                        == _descent_error(lambda: gsb._verdict(S, amb, 50)))
+                error = _descent_error(lambda: check_trivial(f, g, amb, S, 50))
+                assert error == _descent_error(lambda: gsb._check(S, amb, 50))
+                if error is not None:
+                    continue
+                failure = gsb._check(S, amb, 50)
+                try:
+                    trivial, trace = check_trivial(f, g, amb, S, 50)
+                except FuelExhausted:
+                    assert failure.reason == "fuel"
+                    continue
+                assert (failure is None) == trivial
+                if not trivial:
+                    assert failure.reason == "nontrivial" and failure.remainder == trace.result
+
+
+def _without_family(S: Presentation, family: str) -> Presentation:
+    keep = [i for i in range(len(S.relations)) if S.families[i] != family]
+    return Presentation(S.alphabet, S.order, [S.relations[i] for i in keep],
+                        [S.families[i] for i in keep], order_text=S.order_text)
 
 
 def test_verification_flags_missing_commutation_family():
-    keep = [i for i in range(len(S3.relations)) if S3.families[i] != "2"]
-    crippled = Presentation(S3.alphabet, S3.order,
-                            [S3.relations[i] for i in keep],
-                            [S3.families[i] for i in keep],
-                            order_text=S3.order_text)
+    crippled = _without_family(S3, "2")
     report = verify_gsb(crippled)
     assert not report.ok
     assert all(f.reason == "nontrivial" and not f.remainder.is_zero()
@@ -434,7 +450,7 @@ def test_verification_flags_missing_commutation_family():
     text = report.summary()
     assert "failures: %d" % len(report.failures) in text and "[nontrivial]" in text
     blob = report.to_json_dict()
-    assert blob["pairs_checked"] == len(keep) ** 2
+    assert blob["pairs_checked"] == len(crippled) ** 2
     assert len(blob["failures"]) == len(report.failures)
     assert all(set(e) == {"kind", "left", "right", "w", "remainder"}
                for e in blob["failures"])
@@ -456,11 +472,16 @@ def _count_rewrites(monkeypatch) -> list:
 def test_fuel_failure_evidence_rewrites_nothing(monkeypatch):
     # a fuel verdict's evidence is the composition unreduced: rewriting it
     # again would only spend the same fuel a second time
-    amb = next(amb for i, js in gsb._rows(S3, None) for *_, amb, reason
-               in gsb._check_row(S3, i, js, 1) if reason == "fuel")
+    amb = next(amb for i, js in gsb._rows(S3, None) for _, amb, failure
+               in gsb._check_row(S3, i, js, 1) if failure and failure.reason == "fuel")
     calls = _count_rewrites(monkeypatch)
-    failure = gsb._failure(S3, amb, "fuel", 1)
-    assert calls == []
+    with pytest.raises(FuelExhausted):
+        gsb._branch_check(S3, amb, *gsb._branch_words(S3, amb), 1)
+    verdict_calls = list(calls)
+    calls.clear()
+    failure = gsb._check(S3, amb, 1)
+    assert calls == verdict_calls  # the engine runs for the verdict only
+    assert failure.reason == "fuel"
     f, g = S3.relations[amb.left_rel], S3.relations[amb.right_rel]
     assert failure.remainder == failure.trace.result == composition(f, g, amb, S3.order)
     assert failure.trace.steps == [] and failure.trace.fuel_used == 1
@@ -477,26 +498,53 @@ def _b4_with_power(k: int) -> Presentation:
 
 def test_power_relation_fuel_failures_report_the_unreduced_composition(monkeypatch):
     S = _b4_with_power(10)
-    calls = _count_rewrites(monkeypatch)
-    evidence_calls: list = []
-    failure = gsb._failure
+    traced: list = []
+    branch_check = gsb._branch_check
 
-    def logged(*args):
-        before = len(calls)
-        out = failure(*args)
-        evidence_calls.append(len(calls) - before)
-        return out
+    def logged(*args, trace=False):
+        traced.append(trace)
+        return branch_check(*args, trace=trace)
 
-    monkeypatch.setattr(gsb, "_failure", logged)
+    monkeypatch.setattr(gsb, "_branch_check", logged)
     report = verify_gsb(S, fuel=2000)
     assert report.ambiguities_checked == 477 and len(report.failures) == 50
-    assert evidence_calls == [0] * 50
+    # one untraced check per ambiguity: no fuel failure is rewritten for evidence
+    assert traced == [False] * 477
     for f in report.failures:
         amb = f.ambiguity
         assert f.reason == "fuel"
         assert f.remainder == composition(S.relations[amb.left_rel], S.relations[amb.right_rel],
                                           amb, S.order)
         assert f.trace.steps == [] and f.trace.fuel_used == 2000
+
+
+def test_non_binomial_failures_are_reduced_once(monkeypatch):
+    # deglex {x x - y - x, x y x - y y}: every composition is nontrivial
+    ab, order = _toy("y x")
+    def poly(*texts):
+        return sum((Polynomial.from_word(ab.word(t), c) for t, c in texts),
+                   Polynomial.zero(ab))
+    S = Presentation(ab, order, [poly(("x x", 1), ("y", -1), ("x", -1)),
+                                 poly(("x y x", 1), ("y y", -1))])
+    calls: list = []
+    reduce = gsb.normal_form
+
+    def counted(*args):
+        calls.append(args[0])
+        return reduce(*args)
+
+    monkeypatch.setattr(gsb, "normal_form", counted)
+    for fuel, reasons in ((0, ["nontrivial", "fuel", "fuel", "nontrivial"]),
+                          (DEFAULT_FUEL, ["nontrivial"] * 4)):
+        calls.clear()
+        report = verify_gsb(S, fuel)
+        assert [f.reason for f in report.failures] == reasons
+        assert len(calls) == 4  # one reduction per failure: verdict and evidence
+        for f in report.failures:
+            amb = f.ambiguity
+            comp = composition(S.relations[amb.left_rel], S.relations[amb.right_rel],
+                               amb, S.order)
+            assert f.trace.replay(comp, S) == f.remainder == f.trace.result
 
 
 # --- verify_minimal -------------------------------------------------------
@@ -589,6 +637,20 @@ def test_irreducible_words_up_to_length_one():
 def test_irreducible_word_count_up_to_length_two():
     # 28 of the 64 two-letter words are leading words of relations
     assert len(enumerate_irr(S3, 2)) == 9 + (64 - 28)
+
+
+def test_irreducible_enumeration_refuses_more_words_than_the_limit(monkeypatch):
+    assert gsb.IRR_LIMIT == 10**6
+    count = len(enumerate_irr(S3, 2))
+    monkeypatch.setattr(gsb, "IRR_LIMIT", count)
+    assert len(enumerate_irr(S3, 2)) == count
+    monkeypatch.setattr(gsb, "IRR_LIMIT", count - 1)
+    with pytest.raises(ValueError, match=f"more than {count - 1} irreducible words"):
+        enumerate_irr(S3, 2)
+    # refused as soon as the count passes the limit, long before length 40
+    monkeypatch.setattr(gsb, "IRR_LIMIT", 100)
+    with pytest.raises(ValueError, match="more than 100 irreducible words up to length 40"):
+        enumerate_irr(S3, 40)
 
 
 def test_irreducible_enumeration_stops_when_frontier_empties():

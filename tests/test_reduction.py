@@ -9,6 +9,7 @@ import pytest
 
 from gsbraid import (
     Alphabet,
+    AlphabetMismatch,
     DegLex,
     ForeignLetter,
     FuelExhausted,
@@ -310,6 +311,23 @@ def test_word_nf_rejects_non_binomial_presentations():
     assert not S.binomial
     with pytest.raises(NotBinomial):
         word_nf(ab.word("x x"), S)
+
+
+def test_words_and_polynomials_from_another_alphabet_are_rejected():
+    # B4 letter ids read in the B3 alphabet would name B3 letters
+    w4 = braid_scheme(4).alphabet.word("s14 s14 s24")
+    p4 = Polynomial.from_word(w4)
+    for call in (lambda: word_nf(w4, S3), lambda: reduce_once(p4, S3),
+                 lambda: normal_form(p4, S3),
+                 lambda: Presentation(SCH3.alphabet, SCH3.order,
+                                      [p4 - Polynomial.from_word(w4[:1])])):
+        with pytest.raises(AlphabetMismatch):
+            call()
+    # an equal alphabet that is another object is the same alphabet
+    twin = Word(Alphabet(SCH3.alphabet.letters), W3("g1^-1 g1^-1 s12").letters)
+    assert word_nf(twin, S3) == word_nf(W3("g1^-1 g1^-1 s12"), S3)
+    assert normal_form(Polynomial.from_word(twin), S3)[0] == normal_form(
+        Polynomial.from_word(W3("g1^-1 g1^-1 s12")), S3)[0]
 
 
 def test_negative_fuel_is_rejected():

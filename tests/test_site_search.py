@@ -142,9 +142,9 @@ def _unfiltered_report(S: Presentation) -> VerificationReport:
                 ambiguities += 1
                 key = (S.families[i], S.families[j])
                 matrix[key] = matrix.get(key, 0) + 1
-                reason = gsb._verdict(S, amb, DEFAULT_FUEL)
-                if reason is not None:
-                    failures.append(gsb._failure(S, amb, reason, DEFAULT_FUEL))
+                failure = gsb._check(S, amb, DEFAULT_FUEL)
+                if failure is not None:
+                    failures.append(failure)
     return VerificationReport(m * m, ambiguities, tuple(failures), matrix, S.order)
 
 
