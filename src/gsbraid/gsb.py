@@ -17,11 +17,13 @@ step rewrites below w, a zero normal form witnesses the required
 expansion sum(alpha_i a_i s_i b_i) with a_i s̄_i b_i < w.  verify_gsb
 checks every ambiguity of every ordered relation pair with one check,
 _check: None for a trivial composition, else the failure with its
-evidence.  Workers send back only failures; the report does not depend on
-their number.  On binomial presentations the check rewrites the two branch
-words on the word fast path and compares their normal forms; its trace
-concatenates both rewrite sequences and replays soundly on the composition
-polynomial (steps on cancelled terms are no-ops).
+evidence.  The ambiguities come from an overlap index over the leading
+words, not from a walk over the pairs.  Workers send back only failures;
+the report does not depend on their number.  On binomial presentations
+the check rewrites the two branch words on the word fast path and compares
+their normal forms; its trace concatenates both rewrite sequences and
+replays soundly on the composition polynomial (steps on cancelled terms
+are no-ops).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from .freealg import Polynomial, Word
 from .orders import GREATER, LESS, OrderSpec, compare_ids
@@ -268,14 +270,18 @@ def _scope_set(scope, families: Sequence[str]) -> Optional[set[tuple[str, str]]]
 
 
 def _rows(S: Presentation, scopes: Optional[set[tuple[str, str]]]
-          ) -> list[tuple[int, Sequence[int]]]:
+          ) -> list[tuple[int, Collection[int]]]:
     """Each relation i that has ordered pairs (i, j) in scope, with those j."""
     m = len(S.relations)
     if scopes is None:
         return [(i, range(m)) for i in range(m)]
-    fams = S.families
-    rows = [(i, [j for j in range(m) if (fams[i], fams[j]) in scopes]) for i in range(m)]
-    return [(i, js) for i, js in rows if js]
+    members: dict[str, list[int]] = {}
+    for j, fam in enumerate(S.families):
+        members.setdefault(fam, []).append(j)
+    partners: dict[str, set[int]] = {}
+    for left, right in scopes:
+        partners.setdefault(left, set()).update(members[right])
+    return [(i, partners[fam]) for i, fam in enumerate(S.families) if fam in partners]
 
 
 def _check(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[VerificationFailure]:
@@ -300,22 +306,33 @@ def _check(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[VerificationF
     return None if ok else VerificationFailure(amb, trace.result, trace)
 
 
-def _check_row(S: Presentation, i: int, js: Iterable[int], fuel: int
+def _check_row(S: Presentation, i: int, js: Collection[int], fuel: int
                ) -> Iterator[tuple[int, Ambiguity, Optional[VerificationFailure]]]:
     """Check every ambiguity of the ordered pairs (i, j), j in js, in
-    enumeration order; yields (j, ambiguity, _check's failure or None).
+    enumeration order: j ascending, then intersections by overlap length,
+    then inclusions by position.  Yields (j, ambiguity, _check's failure or None).
 
-    A pair is skipped when the first letter of lead j does not occur in
-    lead i: an intersection or an inclusion would put it there.  Leading
-    words must be nonempty (see _require_nonempty_leads).
+    The partners come from S's overlap index, not from a walk over js: lead
+    j meets lead i in an intersection where a proper suffix of lead i is a
+    proper prefix of lead j, and in an inclusion where lead j is a factor
+    of lead i.  Leading words must be nonempty (see _require_nonempty_leads).
     """
-    li = S.lead(i)
-    leads = S._lead_s
-    fi = leads[i]
-    for j in js:
-        if leads[j][0] in fi:
-            for amb in enumerate_ambiguities(li, S.lead(j), i, j):
-                yield j, amb, _check(S, amb, fuel)
+    prefixes, whole = S._overlap_index()
+    f = S._lead_s[i]
+    n = len(f)
+    hits = [(j, 0, t) for t in range(1, n) for j in prefixes.get(f[n - t:], ()) if j in js]
+    hits += [(j, 1, p) for p in range(n) for q in range(p + 1, n + 1)
+             for j in whole.get(f[p:q], ()) if j in js and (j != i or q - p < n)]
+    hits.sort()
+    A, li = S.alphabet, S._lead[i]
+    for j, inclusion, k in hits:
+        if inclusion:  # lead j at position k
+            amb = Ambiguity("inclusion", i, j, Word(A, li[:k]),
+                            Word(A, li[k + len(S._lead[j]):]), Word(A, li))
+        else:  # the last k letters of lead i begin lead j
+            b = S._lead[j][k:]
+            amb = Ambiguity("intersection", i, j, Word(A, li[:n - k]), Word(A, b), Word(A, li + b))
+        yield j, amb, _check(S, amb, fuel)
 
 
 _WORKER_STATE: dict = {}
@@ -325,7 +342,7 @@ def _init_worker(S: Presentation, fuel: int) -> None:
     _WORKER_STATE.update(S=S, fuel=fuel)
 
 
-def _row_task(row: tuple[int, Sequence[int]]) -> list[tuple[int, Optional[VerificationFailure]]]:
+def _row_task(row: tuple[int, Collection[int]]) -> list[tuple[int, Optional[VerificationFailure]]]:
     """(j, failure) per check of the row: a trivial check crosses back as (j, None)."""
     return [(j, failure) for j, _, failure in
             _check_row(_WORKER_STATE["S"], *row, _WORKER_STATE["fuel"])]

@@ -163,7 +163,7 @@ class Presentation:
     """
 
     __slots__ = ("alphabet", "order", "relations", "families", "order_text",
-                 "_lead", "_lead_s", "_tails", "_word_eng", "_monomial")
+                 "_lead", "_lead_s", "_tails", "_word_eng", "_overlaps", "_monomial")
 
     def __init__(self, alphabet: Alphabet, order: OrderSpec,
                  relations: Iterable[Polynomial], families: Optional[Sequence[str]] = None,
@@ -202,6 +202,7 @@ class Presentation:
         binomial = all(len(r) == 1 and p.terms[r[0]] == -1 for p, r in zip(rels, rests))
         self._tails = tuple(r[0] for r in rests) if binomial else None
         self._word_eng: Optional[_WordEngine] = None
+        self._overlaps: Optional[tuple[dict[str, list[int]], dict[str, list[int]]]] = None
 
     @classmethod
     def from_oriented(cls, alphabet: Alphabet, order: OrderSpec,
@@ -232,6 +233,20 @@ class Presentation:
         if self._word_eng is None:
             self._word_eng = _WordEngine(self._lead_s, tuple(map(_encode, self._tails)))
         return self._word_eng
+
+    def _overlap_index(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+        """The cached overlap index over the encoded leading words: each proper
+        prefix of a lead to the relations whose lead starts with it, and each
+        whole lead to its relations, both in ascending index order."""
+        if self._overlaps is None:
+            prefixes: dict[str, list[int]] = {}
+            whole: dict[str, list[int]] = {}
+            for j, lead in enumerate(self._lead_s):
+                for t in range(1, len(lead)):
+                    prefixes.setdefault(lead[:t], []).append(j)
+                whole.setdefault(lead, []).append(j)
+            self._overlaps = prefixes, whole
+        return self._overlaps
 
     def lead(self, i: int) -> Word:
         return Word(self.alphabet, self._lead[i])
@@ -352,6 +367,11 @@ class _WordEngine:
     ``clean``.  Whether one starts at q depends only on the text from q on,
     and a rewrite left of q only shifts that text, so the bound survives
     each rewrite; both scans stop at it.
+
+    Both scans are written out in ``run``'s one loop, over plain integer
+    bounds: first the region ascending (the first length-decreasing match,
+    else the last match), then the word below ``clean`` descending (the
+    first match found).
     """
 
     __slots__ = ("trie", "max_lhs", "leads", "rules")
@@ -390,57 +410,61 @@ class _WordEngine:
 
         self.trie = build(root, None)[0] or {}
 
-    def _pick(self, s: str, positions: range, region: bool) -> Optional[tuple[int, tuple]]:
-        """(position, rule) of the first match in ``positions``; in a region,
-        the first length-decreasing match, else the last match."""
-        trie = self.trie
-        n = len(s)
-        other = None
-        for p in positions:
-            node = trie.get(s[p])
-            q = p + 1
-            while node.__class__ is dict:
-                nxt = node.get(s[q]) if q < n else None
-                if nxt is None:
-                    node = node.get("")
-                    break
-                node = nxt
-                q += 1
-            if node is not None:
-                if not region or node[3]:
-                    return p, node
-                other = p, node
-        return other
-
     def run(self, s: str, fuel: int, used: int = 0,
             emit: Optional[_Emit] = None, canonical: bool = False) -> tuple[str, int]:
         """Rewrite to a fixpoint; returns (irreducible word, total steps used)."""
-        region = range(0)
+        trie, max_lhs = self.trie, self.max_lhs
+        lo = hi = 0  # the region: positions lo .. hi - 1
         clean = len(s)  # no left-hand side starts at or after this position
         while True:
+            n = len(s)
+            rule = None
             if canonical:
                 site = _find_site(s, self.leads)
-                hit = None if site is None else (site[1], self.rules[site[0]])
+                if site is not None:
+                    rule, p = self.rules[site[0]], site[1]
             else:
-                # the region ascending (leftmost shrinking, else rightmost
-                # match), then the whole word descending (rightmost match)
-                hit = self._pick(s, region, True)
-                if hit is None:
-                    hit = self._pick(s, range(clean - 1, -1, -1), False)
-                    if hit is not None:
-                        clean = hit[0] + 1
-            if hit is None:
+                # the region ascending: the first length-decreasing match,
+                # else the last match
+                for q0 in range(lo, hi):
+                    node = trie.get(s[q0])
+                    q = q0 + 1
+                    while node.__class__ is dict:
+                        node = (q < n and node.get(s[q])) or node.get("")
+                        q += 1
+                    if node is not None:
+                        rule, p = node, q0
+                        if node[3]:
+                            break
+                if rule is None:
+                    # the word below clean, descending: the rightmost match
+                    for q0 in range(clean - 1, -1, -1):
+                        node = trie.get(s[q0])
+                        q = q0 + 1
+                        while node.__class__ is dict:
+                            node = (q < n and node.get(s[q])) or node.get("")
+                            q += 1
+                        if node is not None:
+                            rule, p = node, q0
+                            clean = q0 + 1
+                            break
+            if rule is None:
                 return s, used
             if used >= fuel:
                 raise FuelExhausted(used, partial=s)
-            p, (idx, lhs, rhs, _) = hit
+            idx, lhs, rhs, _ = rule
             end = p + len(lhs)
             if emit is not None:
                 emit.append((idx, p, s[:p], s[end:]))
             s = s[:p] + rhs + s[end:]
             used += 1
-            clean = max(clean, end) + len(rhs) - len(lhs)
-            region = range(max(p - self.max_lhs, 0), min(p + len(rhs), clean - 1) + 1)
+            if end > clean:
+                clean = end
+            clean += len(rhs) - len(lhs)
+            lo = p - max_lhs if p > max_lhs else 0
+            hi = p + len(rhs) + 1
+            if hi > clean:
+                hi = clean
 
     def run_prefix(self, s: str, fuel: int, used: int = 0,
                    emit: Optional[_Emit] = None) -> tuple[str, int]:

@@ -1,11 +1,13 @@
-"""The word engine's site search and verify_gsb's pair filter, each checked
+"""The word engine's site search and verify_gsb's overlap index, each checked
 against the simple path it replaced.
 
 ``_ScanEngine`` is the first-letter scanner that the trie replaced: the
 rules grouped by first letter and tried with ``str.startswith`` in index
 order, and a global pick that rescans the whole word.  Both engines must
 emit the same rewrites, in the same order, and stop with the same partial
-word when the fuel runs out.
+word when the fuel runs out.  The overlap index must yield, row by row,
+the ambiguities that ``enumerate_ambiguities`` finds over every ordered
+pair, in the same order.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def test_trie_engine_matches_scanner_on_long_words(n, artin, power, method):
         assert _outcome(S._engine(), method, s, fuel) == _outcome(ref, method, s, fuel)
 
 
-def _unfiltered_report(S: Presentation) -> VerificationReport:
-    """verify_gsb's report from the loop over every ordered pair, unfiltered."""
+def _all_pairs_report(S: Presentation) -> VerificationReport:
+    """verify_gsb's report from the loop over every ordered pair."""
     m = len(S.relations)
     ambiguities = 0
     matrix: dict = {}
@@ -157,7 +159,33 @@ def _without(S: Presentation, index: int) -> Presentation:
 @pytest.mark.parametrize("S, ok", [(artin_markov(n), True) for n in range(2, 6)]
                          + [(_without(artin_markov(4), 40), False)],
                          ids=["n2", "n3", "n4", "n5", "n4-without-40"])
-def test_pair_filter_keeps_the_unfiltered_report(S, ok):
+def test_overlap_index_keeps_the_all_pairs_report(S, ok):
     report = verify_gsb(S)
-    assert report == _unfiltered_report(S)
+    assert report == _all_pairs_report(S)
     assert report.ambiguities_checked > 0 and report.ok == ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=4), st.sampled_from("xyz")),
+                min_size=1, max_size=7),
+       st.data())
+def test_overlap_index_yields_every_pair_in_enumeration_order(rules, data):
+    # two letters and short leads: repeated leads, a lead inside another,
+    # self-overlapping leads and one-letter leads are all common
+    ab = Alphabet([Letter("a"), Letter("b")])
+    S = Presentation.from_oriented(ab, DegLex(ranking_of(range(2))),
+                                   [(ab.word(" ".join(lead)), ab.empty_word()) for lead, _ in rules],
+                                   [fam for _, fam in rules])
+    m = len(S.relations)
+    fams = st.sampled_from(sorted(set(S.families)))
+    scope = data.draw(st.lists(st.tuples(fams, fams), max_size=5))
+    for scopes in (None, gsb._scope_set(scope, S.families)):
+        rows = dict(gsb._rows(S, scopes))
+        pairs = [(i, j) for i in range(m) for j in range(m)
+                 if scopes is None or (S.families[i], S.families[j]) in scopes]
+        assert sum(map(len, rows.values())) == len(pairs)
+        for i in range(m):
+            expected = [(j, amb) for ii, j in pairs if ii == i
+                        for amb in enumerate_ambiguities(S.lead(i), S.lead(j), i, j)]
+            found = [(j, amb) for j, amb, _ in gsb._check_row(S, i, rows[i], 0)] if i in rows else []
+            assert found == expected
