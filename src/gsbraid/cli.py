@@ -399,8 +399,9 @@ def _cmd_compositions(args) -> int:
                    "ambiguities_checked": len(instances),
                    "instances": instances})
     else:
-        for inst in instances:
-            status = "trivial" if inst["trivial"] else f"NONTRIVIAL: {inst['remainder']}"
+        for inst, reason in zip(instances, reasons):
+            status = ("trivial" if reason is None else "FUEL EXHAUSTED" if reason == "fuel"
+                      else f"NONTRIVIAL: {inst['remainder']}")
             print(f"({inst['families']}) {inst['kind']} w = {inst['w']} -> {status}")
         print(f"ambiguities checked: {len(instances)}, nontrivial: {reasons.count('nontrivial')}")
     return 1 if "nontrivial" in reasons else 3 if "fuel" in reasons else 0

@@ -39,8 +39,7 @@ from .freealg import Polynomial, Word
 from .orders import GREATER, LESS, OrderSpec, compare_ids
 from .reduction import (DEFAULT_FUEL, FuelExhausted, Presentation,
                         ReductionStep, ReductionTrace, _check_fuel, _decode,
-                        _encode, _find_site, format_polynomial, leading,
-                        normal_form)
+                        _encode, format_polynomial, leading, normal_form)
 
 
 class InconsistentAmbiguity(ValueError):
@@ -306,6 +305,14 @@ def _check(S: Presentation, amb: Ambiguity, fuel: int) -> Optional[VerificationF
     return None if ok else VerificationFailure(amb, trace.result, trace)
 
 
+def _lead_factors(S: Presentation, s: str) -> list[tuple[int, int]]:
+    """(position, j) for each occurrence of lead j in the encoded word s, by
+    position, then length, then j, from S's overlap index.  An empty lead
+    occurs at every position, first at 0, as str.find("") has it."""
+    whole, n = S._overlap_index()[1], len(s)
+    return [(p, j) for p in range(n + 1) for q in range(p, n + 1) for j in whole.get(s[p:q], ())]
+
+
 def _check_row(S: Presentation, i: int, js: Collection[int], fuel: int
                ) -> Iterator[tuple[int, Ambiguity, Optional[VerificationFailure]]]:
     """Check every ambiguity of the ordered pairs (i, j), j in js, in
@@ -315,14 +322,14 @@ def _check_row(S: Presentation, i: int, js: Collection[int], fuel: int
     The partners come from S's overlap index, not from a walk over js: lead
     j meets lead i in an intersection where a proper suffix of lead i is a
     proper prefix of lead j, and in an inclusion where lead j is a factor
-    of lead i.  Leading words must be nonempty (see _require_nonempty_leads).
+    of lead i (_lead_factors).  Leading words must be nonempty (see
+    _require_nonempty_leads).
     """
-    prefixes, whole = S._overlap_index()
+    prefixes = S._overlap_index()[0]
     f = S._lead_s[i]
     n = len(f)
     hits = [(j, 0, t) for t in range(1, n) for j in prefixes.get(f[n - t:], ()) if j in js]
-    hits += [(j, 1, p) for p in range(n) for q in range(p + 1, n + 1)
-             for j in whole.get(f[p:q], ()) if j in js and (j != i or q - p < n)]
+    hits += [(j, 1, p) for p, j in _lead_factors(S, f) if j in js and j != i]
     hits.sort()
     A, li = S.alphabet, S._lead[i]
     for j, inclusion, k in hits:
@@ -394,23 +401,19 @@ def verify_gsb(S: Presentation, fuel: int = DEFAULT_FUEL,
 
 
 def verify_minimal(S: Presentation) -> MinimalityReport:
-    """Interreducedness: no lead contains another lead; all tails irreducible."""
-    leads = S._lead_s
+    """Interreducedness: no lead contains another lead; all tails irreducible.
+    Both are read off one factor scan per word (_lead_factors)."""
     containments: list[tuple[int, int, int]] = []
     reducible: list[tuple[int, Word, int]] = []
-    for i, li in enumerate(leads):
-        for j, lj in enumerate(leads):
-            if i != j:
-                p = li.find(lj)
-                if p >= 0:
-                    containments.append((i, j, p))
     for i, rel in enumerate(S.relations):
+        # read backwards, so that each lead j keeps its first position
+        first = {j: p for p, j in reversed(_lead_factors(S, S._lead_s[i])) if j != i}
+        containments += [(i, j, p) for j, p in sorted(first.items())]
         for t in rel.terms:
-            if t == S._lead[i]:
-                continue
-            site = _find_site(_encode(t), S._lead_s, skip=i)
-            if site is not None:
-                reducible.append((i, Word(S.alphabet, t), site[0]))
+            if t != S._lead[i]:
+                js = [j for _, j in _lead_factors(S, _encode(t)) if j != i]
+                if js:
+                    reducible.append((i, Word(S.alphabet, t), min(js)))
     return MinimalityReport(ok=not containments and not reducible,
                             containments=tuple(containments),
                             reducible_tails=tuple(reducible))

@@ -48,7 +48,7 @@ All three run through the one rewrite loop of ``_WordEngine.run`` and
 differ only in the site they pick.  The passage-coherent schedules find
 sites with a trie over the encoded leading words, built once per
 presentation; ``canonical`` uses ``_find_site``, a ``str.find`` over the
-leading words in index order, as ``reduce_once`` and ``verify_minimal`` do.
+leading words in index order, as ``reduce_once`` does.
 """
 
 from __future__ import annotations
@@ -270,14 +270,13 @@ class Presentation:
         self.__init__(*state)
 
 
-def _find_site(s: str, leads: Sequence[str], skip: int = -1) -> Optional[tuple[int, int]]:
-    """Lowest relation index (other than ``skip``), then leftmost position, of an
-    occurrence of one of the encoded leading words ``leads`` in the encoded word s."""
+def _find_site(s: str, leads: Sequence[str]) -> Optional[tuple[int, int]]:
+    """Lowest relation index, then leftmost position, of an occurrence of one
+    of the encoded leading words ``leads`` in s: the canonical site."""
     for idx, lhs in enumerate(leads):
-        if idx != skip:
-            p = s.find(lhs)
-            if p >= 0:
-                return idx, p
+        p = s.find(lhs)
+        if p >= 0:
+            return idx, p
     return None
 
 
@@ -357,11 +356,12 @@ class _WordEngine:
     Sites are found with a trie over the left-hand sides, built once per
     presentation.  A node is a dict from letter to child; under the key
     ``""`` it holds the lowest-index rule whose left-hand side ends on the
-    path to it.  A child whose subtree cannot beat that rule is dropped,
-    and a node left without children is replaced by the rule itself, a
+    path to it.  A node without children is replaced by that rule itself, a
     tuple ``(index, lhs, rhs, shrinking)``.  Walking from position p as far
     as the trie goes thus yields the lowest-index rule whose left-hand side
-    starts at p, in at most ``max_lhs`` dict lookups.
+    starts at p, in at most ``max_lhs`` dict lookups.  Nothing is pruned: a
+    subtree could be dropped only below a left-hand side that is a proper
+    prefix of another, and no interreduced system has one.
 
     ``run`` also keeps a clean suffix: no left-hand side starts at or after
     ``clean``.  Whether one starts at q depends only on the text from q on,
@@ -389,26 +389,19 @@ class _WordEngine:
                 node = node.setdefault(ch, {})
             node.setdefault("", rule)
 
-        def build(node: dict, best: Optional[tuple]) -> tuple[object, int]:
-            """(compiled node, lowest rule index below it); a node whose
-            subtree cannot beat the best rule on its path becomes that rule."""
+        def build(node: dict, best: Optional[tuple]) -> object:
+            """The compiled node, given the best rule on the path above it."""
             own = node.pop("", None)
             if own is not None and (best is None or own[0] < best[0]):
                 best = own
-            low = own[0] if own is not None else len(leads)
-            out: dict = {}
-            for ch, child in node.items():
-                sub, sub_low = build(child, best)
-                low = min(low, sub_low)
-                if best is None or sub_low < best[0]:
-                    out[ch] = sub
-            if not out:
-                return best, low
+            if not node:
+                return best
+            out = {ch: build(child, best) for ch, child in node.items()}
             if best is not None:
                 out[""] = best
-            return out, low
+            return out
 
-        self.trie = build(root, None)[0] or {}
+        self.trie = build(root, None) or {}
 
     def run(self, s: str, fuel: int, used: int = 0,
             emit: Optional[_Emit] = None, canonical: bool = False) -> tuple[str, int]:

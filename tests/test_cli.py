@@ -390,6 +390,15 @@ def test_compositions_fuel_exhaustion(capsys):
     assert [inst["remainder"] for inst in blob["instances"]] == ["(fuel exhausted)"]
 
 
+def test_compositions_text_labels_fuel_failures(capsys):
+    assert main(["compositions", "--n", "3", "--scope", "15,15", "--fuel", "1"]) == 3
+    out = capsys.readouterr().out
+    assert "NONTRIVIAL" not in out
+    assert out.splitlines() == [
+        "(15,15) intersection w = g2^-1 g1^-1 g2^-1 g1^-1 g2^-1 -> FUEL EXHAUSTED",
+        "ambiguities checked: 1, nontrivial: 0"]
+
+
 # --- complete ----------------------------------------------------------------
 
 def test_complete_reports_closure(capsys):

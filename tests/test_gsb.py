@@ -549,10 +549,11 @@ def test_non_binomial_failures_are_reduced_once(monkeypatch):
 
 # --- verify_minimal -------------------------------------------------------
 
-def test_braid_bases_are_interreduced():
-    assert verify_minimal(S3) == verify_minimal(S3)  # deterministic
-    assert verify_minimal(S3).ok
-    assert verify_minimal(artin_markov(4)).ok
+@pytest.mark.parametrize("n", range(2, 9))
+def test_braid_bases_are_interreduced(n):
+    S = artin_markov(n)
+    assert verify_minimal(S) == verify_minimal(S)  # deterministic
+    assert verify_minimal(S).ok
 
 
 def test_minimality_detects_lead_containment():

@@ -1,5 +1,5 @@
-"""The word engine's site search and verify_gsb's overlap index, each checked
-against the simple path it replaced.
+"""The word engine's site search and the overlap index behind verify_gsb and
+verify_minimal, each checked against the simple path it replaced.
 
 ``_ScanEngine`` is the first-letter scanner that the trie replaced: the
 rules grouped by first letter and tried with ``str.startswith`` in index
@@ -7,11 +7,13 @@ order, and a global pick that rescans the whole word.  Both engines must
 emit the same rewrites, in the same order, and stop with the same partial
 word when the fuel runs out.  The overlap index must yield, row by row,
 the ambiguities that ``enumerate_ambiguities`` finds over every ordered
-pair, in the same order.
+pair, in the same order, and the minimality report that ``str.find`` over
+every ordered pair of leads gives.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 import pytest
@@ -20,9 +22,10 @@ from hypothesis import strategies as st
 
 from gsbraid import gsb
 from gsbraid.braid import artin_markov, artin_to_s, braid_scheme
-from gsbraid.freealg import Alphabet, Letter
-from gsbraid.gsb import VerificationReport, enumerate_ambiguities, verify_gsb
-from gsbraid.orders import DegLex, ranking_of
+from gsbraid.freealg import Alphabet, Letter, Polynomial, Word
+from gsbraid.gsb import (MinimalityReport, VerificationReport, enumerate_ambiguities,
+                         verify_gsb, verify_minimal)
+from gsbraid.orders import DegInLex, DegLex, InLex, ranking_of
 from gsbraid.reduction import (DEFAULT_FUEL, FuelExhausted, Presentation,
                                _encode, _WordEngine)
 
@@ -189,3 +192,44 @@ def test_overlap_index_yields_every_pair_in_enumeration_order(rules, data):
                         for amb in enumerate_ambiguities(S.lead(i), S.lead(j), i, j)]
             found = [(j, amb) for j, amb, _ in gsb._check_row(S, i, rows[i], 0)] if i in rows else []
             assert found == expected
+
+
+def _pairwise_minimality(S: Presentation) -> MinimalityReport:
+    """verify_minimal's report from str.find over every ordered pair of leads:
+    a containment at the first position, a reducible tail by the lowest index
+    other than the relation's own."""
+    leads = S._lead_s
+    containments = [(i, j, li.find(lj)) for i, li in enumerate(leads)
+                    for j, lj in enumerate(leads) if i != j and li.find(lj) >= 0]
+    reducible = []
+    for i, rel in enumerate(S.relations):
+        for t in rel.terms:
+            if t != S._lead[i]:
+                s = _encode(t)
+                js = [j for j, lj in enumerate(leads) if j != i and s.find(lj) >= 0]
+                if js:
+                    reducible.append((i, Word(S.alphabet, t), js[0]))
+    return MinimalityReport(not containments and not reducible,
+                            tuple(containments), tuple(reducible))
+
+
+@st.composite
+def _any_presentation(draw) -> Presentation:
+    """Up to six relations over 1-3 letters with 1-3 terms of length 0-4 and
+    assorted coefficients: constants (empty leads), repeated leads, a lead
+    inside another, non-monic and 3-term relations are all common.  Under
+    InLex a tail can be longer than its lead, and even contain it."""
+    k = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
+    terms = st.dictionaries(words, st.sampled_from([1, -1, 2, -3]), min_size=1, max_size=3)
+    ab = Alphabet([Letter(x) for x in "abc"[:k]])
+    order = draw(st.sampled_from([DegLex, DegInLex, InLex]))(ranking_of(range(k)))
+    return Presentation(ab, order,
+                        [Polynomial(ab, {w: Fraction(c) for w, c in rel.items()})
+                         for rel in draw(st.lists(terms, min_size=1, max_size=6))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_presentation())
+def test_overlap_index_gives_the_pairwise_minimality_report(S):
+    assert verify_minimal(S) == _pairwise_minimality(S)
